@@ -8,34 +8,39 @@ same byte-for-byte results.
 
 BACKEND = "python"
 
+# Permutation kernels run in C through bytes.translate. A payload p of degree
+# m <= 255 becomes the 256-byte lookup table b"\0" + p + padding, which maps
+# each point 1..m to its image; maketrans(p, identity) maps each point to its
+# preimage, so it is the table of p^-1. The tables are built inline because
+# these are the package's hottest calls and a helper call would add to each.
+_IDENTITY = bytes(range(1, 256))
+_PAD = bytes(255)
+
 
 def perm_compose(a, b):
     # (a.b)(pt) = a(b(pt))
-    return bytes(a[b[i] - 1] for i in range(len(a)))
+    return b.translate(b"\0" + a + _PAD[len(a):])
 
 
 def perm_invert(a):
-    out = bytearray(len(a))
-    for i, v in enumerate(a):
-        out[v - 1] = i + 1
-    return bytes(out)
+    return bytes.maketrans(a, _IDENTITY[: len(a)])[1 : len(a) + 1]
 
 
 def perm_conjugate(h, x):
     # h^-1 . x . h
-    hinv = perm_invert(h)
-    return bytes(hinv[x[h[i] - 1] - 1] for i in range(len(h)))
+    return h.translate(b"\0" + x + _PAD[len(x):]).translate(
+        bytes.maketrans(h, _IDENTITY[: len(h)]))
 
 
 def perm_sandwich(h, x, j):
     # h . x . j
-    return bytes(h[x[j[i] - 1] - 1] for i in range(len(h)))
+    return j.translate(b"\0" + x + _PAD[len(x):]).translate(b"\0" + h + _PAD[len(h):])
 
 
 def perm_twisted(h, x, t):
     # h^-1 . x . t
-    hinv = perm_invert(h)
-    return bytes(hinv[x[t[i] - 1] - 1] for i in range(len(h)))
+    return t.translate(b"\0" + x + _PAD[len(x):]).translate(
+        bytes.maketrans(h, _IDENTITY[: len(h)]))
 
 
 def perm_product(seq, identity):

@@ -50,6 +50,7 @@ class GroupAction:
         self.target = target
         self.base_p = base_p
         self._base_stab: frozenset[bytes] | None = None
+        self._fibers: dict[bytes, dict[bytes, tuple[bytes, ...]]] = {}
         self.descriptor: dict = {}
 
     # -- payload level -----------------------------------------------------
@@ -68,15 +69,29 @@ class GroupAction:
         xp = self.target.check(x)
         return self.target.wrap(self.apply_p(hp, xp))
 
+    def fibers_p(self, x: bytes) -> dict[bytes, tuple[bytes, ...]]:
+        """Each image apply(h, x) mapped to the acting elements h that reach
+        it, in ``acting.elements_p()`` order. The keys are the orbit of x, the
+        fiber over x itself is its stabilizer, and the fiber over any other
+        image y = apply(h0, x) is the left coset h0 . Stab_H(x).
+
+        One scan of the acting group per distinct x, memoized on the
+        platform; the returned mapping is shared, so callers must not
+        mutate it."""
+        fibers = self._fibers.get(x)
+        if fibers is None:
+            found: dict[bytes, list[bytes]] = {}
+            for h in self.acting.elements_p():
+                found.setdefault(self.apply_p(h, x), []).append(h)
+            fibers = self._fibers[x] = {y: tuple(hs) for y, hs in found.items()}
+        return fibers
+
     def orbit(self, x: GroupElement) -> frozenset[GroupElement]:
-        xp = self.target.check(x)
-        seen = {self.apply_p(h, xp) for h in self.acting.elements_p()}
-        return frozenset(self.target.wrap(p) for p in seen)
+        return frozenset(self.target.wrap(p) for p in self.fibers_p(self.target.check(x)))
 
     def stabilizer(self, x: GroupElement) -> frozenset[GroupElement]:
         xp = self.target.check(x)
-        keep = [h for h in self.acting.elements_p() if self.apply_p(h, xp) == xp]
-        return frozenset(self.acting.wrap(p) for p in keep)
+        return frozenset(self.acting.wrap(p) for p in self.fibers_p(xp)[xp])
 
     def base_stabilizer_p(self) -> frozenset[bytes]:
         if self._base_stab is None:

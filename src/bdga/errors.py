@@ -41,6 +41,10 @@ class InstanceReusedError(OracleContractError):
     """Execute was called on an instance that is already marked used."""
 
 
+class TooFewInstancesError(OracleContractError, RegimeError):
+    """Execute was called on fewer than the three instances a session needs."""
+
+
 class TestUnavailableError(OracleContractError):
     """The single allowed Test query was already consumed."""
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import __version__
 from .actions import GroupAction
-from .errors import RegimeError
+from .errors import BdgaError, RegimeError
 from .harness import OracleEnv, derive_seed, estimate_advantage
 from .platforms import preset
 from .protocol import oracle_key
@@ -223,18 +223,19 @@ def make_cheating_distinguisher(n: int = 3):
 
 def make_exhaustive_search_distinguisher(platform: GroupAction, n: int = 3,
                                          max_candidates: int = 100_000):
-    """Recovers every secret vector consistent with the public v values by
-    enumerating the acting group, recomputes the candidate keys, and guesses
-    1 iff the Test value is one of them. Near-perfect on toy parameters."""
+    """Recovers every secret vector consistent with the public v values (their
+    fibers over the base point), recomputes the candidate keys, and guesses
+    1 iff the Test value is one of them. Near-perfect on toy parameters.
+    Raises RegimeError for n < 3 here, before any game runs: every execute
+    would fail, and an all-failed run reads as advantage 1."""
+    if n < 3:
+        raise RegimeError(f"party count {n} < 3")
     instances = [(f"U{i + 1}", 0) for i in range(n)]
-    H = platform.acting
 
     def distinguisher(env: OracleEnv) -> int:
         transcript = env.execute(instances)
-        candidates_per_v = []
-        for v in transcript.v:
-            matches = [h for h in H.elements_p() if platform.apply_p(h, platform.base_p) == v]
-            candidates_per_v.append(matches)
+        fibers = platform.fibers_p(platform.base_p)
+        candidates_per_v = [fibers.get(v, ()) for v in transcript.v]
         combos = 1
         for m in candidates_per_v:
             combos *= max(len(m), 1)
@@ -319,5 +320,7 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
         kwargs["trials"] = trials if trials is not None else DEFAULT_TRIALS
         if tolerance is not None:
             kwargs["tolerance"] = tolerance
+    if not (type(kwargs["trials"]) is int and kwargs["trials"] >= 1):
+        raise BdgaError(f"trials must be an integer >= 1, got {kwargs['trials']!r}")
     kwargs.update(opts)
     return EXPERIMENTS[name](platform, **kwargs)

@@ -26,6 +26,7 @@ from .errors import (
     InstanceReusedError,
     OracleContractError,
     TestUnavailableError,
+    TooFewInstancesError,
 )
 from .groups import GroupElement
 from .protocol import SessionConfig, Transcript, run_session
@@ -53,10 +54,21 @@ class OracleEnv:
     # record refs are tiny; kept in a plain dict keyed by (user, index)
 
     def execute(self, instances: Sequence[tuple[str, int]]) -> Transcript:
+        """Run one session over the named fresh instances. Naming an instance
+        twice, or one already used, raises InstanceReusedError; fewer than
+        three instances raise TooFewInstancesError. Both are raised before
+        the session runs or the environment's RNG moves."""
+        if len(instances) < 3:
+            raise TooFewInstancesError(f"a session needs >= 3 instances, got {len(instances)}")
+        seen: set[tuple] = set()
         for key in instances:
-            rec = self._records.get(tuple(key))
+            key = tuple(key)
+            rec = self._records.get(key)
+            if key in seen:
+                raise InstanceReusedError(f"instance {key} is named twice")
             if rec is not None and rec.used:
                 raise InstanceReusedError(f"instance {key} was already used")
+            seen.add(key)
         session_seed = self.rng.getrandbits(63)
         result = run_session(SessionConfig(self.platform, len(instances), session_seed))
         self.q_ex += 1

@@ -36,7 +36,8 @@ def wrap(i: int, n: int) -> int:
 
 def cycle_step(n: int, k: int) -> int:
     """Cyclic predecessor on 1..n: 1 -> n and k -> k-1 otherwise. Applying it
-    n times is the identity; it orders the ladder factors of the key."""
+    n times is the identity; party i's ladder factors of the key come in the
+    order of 1..n under it applied i - 1 times."""
     if n < 3:
         raise RegimeError("party count must be >= 3")
     if not 1 <= k <= n:
@@ -159,9 +160,8 @@ class PartyState:
 
     def compute_key(self) -> bytes:
         ladder = key_ladder(self.platform, self._need("x"), self._need("z_all"), self.index)
-        order = list(range(1, self.n + 1))
-        for _ in range(self.index - 1):
-            order = [cycle_step(self.n, k) for k in order]
+        # 1..n rotated back by index - 1: cycle_step applied index - 1 times
+        order = [wrap(k - self.index + 1, self.n) for k in range(1, self.n + 1)]
         target = self.platform.target
         key = ladder[order[0] - 1]
         for k in order[1:]:

@@ -102,12 +102,14 @@ def sample_ddh_ga(platform: GroupAction, rng: Random, kind: str) -> DdhGaTuple:
             f"stabilizer of the base point covers too much of {H.tag}: "
             f"2*{len(stab)} >= {H.order}"
         )
-    excluded = left_coset_p(H, yx, stab) | left_coset_p(H, xy, stab)
+    # z lies in yx . Stab or xy . Stab iff it moves g to the same point.
+    g = platform.base_p
+    excluded = {platform.apply_p(yx, g), platform.apply_p(xy, g)}
     z = H.sample_p(rng)
-    while z in excluded:
+    while platform.apply_p(z, g) in excluded:
         z = H.sample_p(rng)
     r = H.sample_p(rng)
-    while r in excluded:
+    while platform.apply_p(r, g) in excluded:
         r = H.sample_p(rng)
     return ddh_from_witness(platform, x, y, z, r, kind)
 
@@ -466,24 +468,23 @@ def exact_key_conditional(platform: GroupAction, sample: DistributionSample) -> 
     The broadcast differences pin the link vector up to a single left
     translate: links = (t, t*a_1, ..., t*a_{n-1}) with a_k the running
     product of the first k broadcast values. Each translate t is weighted by
-    the number of pair-key vectors reproducing the observed w's. Returns
-    integer weights per key payload (unnormalized; zero-weight keys omitted).
+    the number of pair-key vectors reproducing the observed w's: for each
+    link x, the size of the fiber of w over x (a coset of Stab_H(x), or
+    empty). Returns integer weights per key payload (unnormalized;
+    zero-weight keys omitted).
     """
-    target, acting = platform.target, platform.acting
+    target = platform.target
     transcript = sample.transcript
     n = transcript.n
     prefix = [target.identity_p]
     for zval in transcript.z[: n - 1]:
         prefix.append(target.compose_p(prefix[-1], zval))
-    hs = acting.elements_p()
     weights: dict[bytes, int] = {}
     for t in target.elements_p():
         links = [target.compose_p(t, a) for a in prefix]
         weight = 1
         for i in range(n):
-            matches = sum(
-                1 for c in hs if platform.apply_p(c, links[i]) == transcript.w[i]
-            )
+            matches = len(platform.fibers_p(links[i]).get(transcript.w[i], ()))
             if matches == 0:
                 weight = 0
                 break

@@ -147,6 +147,23 @@ def test_orbit_stabilizer_product(name):
             assert pf.acting.invert_p(a) in stab
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_fibers_are_stabilizer_cosets(name):
+    pf = preset(name)
+    H = pf.acting
+    position = {h: i for i, h in enumerate(H.elements_p())}
+    for x in pf.target.elements_p():
+        fibers = pf.fibers_p(x)
+        assert fibers is pf.fibers_p(x)
+        stab = fibers[x]
+        assert len(fibers) * len(stab) == H.order
+        assert sum(len(hs) for hs in fibers.values()) == H.order
+        for y, hs in fibers.items():
+            assert all(pf.apply_p(h, x) == y for h in hs)
+            assert [position[h] for h in hs] == sorted(position[h] for h in hs)
+            assert set(hs) == {H.compose_p(hs[0], s) for s in stab}
+
+
 def test_full_orbit_forces_trivial_stabilizer():
     pf = preset("c23_dcoset")
     x = pf.target.elements()[1]

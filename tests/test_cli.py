@@ -131,6 +131,32 @@ def test_verify_truncated_file_is_a_parse_error(tmp_path, session_files):
     assert run_cli("verify", str(broken)) == 2
 
 
+@pytest.mark.parametrize("descriptor", [{"kind": "bd_modp", "params": {}}, ["bd_modp"]],
+                         ids=["missing_params", "not_a_dict"])
+def test_verify_malformed_descriptor_exits_2(session_files, capsys, descriptor):
+    tpath, _ = session_files
+    obj = read(tpath)
+    obj["meta"]["platform_descriptor"] = descriptor
+    Path(tpath).write_text(json.dumps(obj))
+    assert run_cli("verify", tpath) == 2
+    assert capsys.readouterr().err.startswith("error: platform descriptor")
+
+
+@pytest.mark.parametrize("trials", [0, True])
+def test_experiment_manifest_zero_trials_exits_2(tmp_path, capsys, trials):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"experiment": "ddh_toy_advantage", "platform": "bd23",
+                                    "n": 3, "trials": trials, "seed": 1}))
+    assert run_cli("experiment", "--manifest", str(manifest)) == 2
+    assert capsys.readouterr().err.startswith("error: trials must be")
+
+
+def test_experiment_ddh_toy_advantage_two_parties_exits_2(capsys):
+    assert run_cli("experiment", "--experiment", "ddh_toy_advantage", "--n", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: party count 2 < 3") and "PASS" not in captured.out
+
+
 def test_experiment_unknown_name_exits_2(capsys):
     assert run_cli("experiment", "--experiment", "nope") == 2
     assert "unknown experiment" in capsys.readouterr().err

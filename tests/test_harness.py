@@ -6,7 +6,9 @@ import scipy.stats
 from bdga.errors import (
     InstanceNotAcceptedError,
     InstanceReusedError,
+    RegimeError,
     TestUnavailableError,
+    TooFewInstancesError,
 )
 from bdga.experiments import (
     make_cheating_distinguisher,
@@ -37,6 +39,45 @@ def test_execute_refuses_reused_instances():
     env.execute(TRIO)
     with pytest.raises(InstanceReusedError):
         env.execute([("U1", 0), ("U4", 0), ("U5", 0)])
+
+
+def test_execute_refuses_an_instance_named_twice():
+    env = OracleEnv(S4, 42)
+    state = env.rng.getstate()
+    with pytest.raises(InstanceReusedError):
+        env.execute([("U1", 0), ("U2", 0), ("U1", 0)])
+    # refused before the session ran: no query counted, no RNG draw, no record
+    assert env.q_ex == 0 and env.rng.getstate() == state
+    with pytest.raises(KeyError):
+        env.record("U1", 0)
+    env.execute(TRIO)
+    assert env.q_ex == 1
+
+
+def test_execute_refuses_fewer_than_three_instances():
+    env = OracleEnv(S4, 42)
+    state = env.rng.getstate()
+    for instances in ([], [("U1", 0)], [("U1", 0), ("U2", 0)]):
+        with pytest.raises(TooFewInstancesError):
+            env.execute(instances)
+    assert env.q_ex == 0 and env.rng.getstate() == state
+    # still the regime error that run_session raises for n < 3
+    assert issubclass(TooFewInstancesError, RegimeError)
+
+
+def test_too_few_instances_count_as_a_failed_trial():
+    def pair_only(env):
+        env.execute([("U1", 0), ("U2", 0)])
+        env.test("U1", 0)
+        return env.hidden_bit
+
+    report = estimate_advantage(pair_only, make_env_factory(BD, 13), 50)
+    assert report.successes == 0 and report.trials == 50 and report.q_ex == 0
+    # never guessing right reads as advantage 1, so the exhaustive search
+    # refuses n < 3 before any game runs
+    assert report.advantage == 1.0
+    with pytest.raises(RegimeError):
+        make_exhaustive_search_distinguisher(BD, n=2)
 
 
 def test_instances_share_sid_pid_and_key():

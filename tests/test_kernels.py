@@ -1,5 +1,7 @@
 """Kernel backends: algebraic laws and byte-for-byte backend equivalence."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +63,55 @@ class TestPermLaws:
         e = bytes(range(1, len(a) + 1))
         assert k.perm_product([a, b, c], e) == k.perm_compose(k.perm_compose(a, b), c)
         assert k.perm_product([], e) == e
+
+
+# the generator-loop kernels the translate-based ones replaced, kept as the
+# reference they must match byte for byte
+
+
+def ref_perm_compose(a, b):
+    return bytes(a[b[i] - 1] for i in range(len(a)))
+
+
+def ref_perm_invert(a):
+    out = bytearray(len(a))
+    for i, v in enumerate(a):
+        out[v - 1] = i + 1
+    return bytes(out)
+
+
+def ref_perm_conjugate(h, x):
+    hinv = ref_perm_invert(h)
+    return bytes(hinv[x[h[i] - 1] - 1] for i in range(len(h)))
+
+
+def ref_perm_sandwich(h, x, j):
+    return bytes(h[x[j[i] - 1] - 1] for i in range(len(h)))
+
+
+def ref_perm_twisted(h, x, t):
+    hinv = ref_perm_invert(h)
+    return bytes(hinv[x[t[i] - 1] - 1] for i in range(len(h)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 10, 23, 64])
+def test_perm_kernels_match_reference_loops(m):
+    rng = Random(m)
+
+    def perm():
+        images = list(range(1, m + 1))
+        rng.shuffle(images)
+        return bytes(images)
+
+    for _ in range(200):
+        a, b, c = perm(), perm(), perm()
+        assert _pykernels.perm_compose(a, b) == ref_perm_compose(a, b)
+        assert _pykernels.perm_invert(a) == ref_perm_invert(a)
+        assert _pykernels.perm_conjugate(a, b) == ref_perm_conjugate(a, b)
+        assert _pykernels.perm_sandwich(a, b, c) == ref_perm_sandwich(a, b, c)
+        assert _pykernels.perm_twisted(a, b, c) == ref_perm_twisted(a, b, c)
+        for out in (_pykernels.perm_compose(a, b), _pykernels.perm_invert(a)):
+            assert type(out) is bytes and len(out) == m
 
 
 def mats(p):

@@ -237,6 +237,15 @@ def test_session_keys_agree_and_match_oracle():
                 assert rec.pid == tuple(f"U{i+1}" for i in range(n))
 
 
+@pytest.mark.parametrize("name", ["s4_conj", "gl25_twist", "sl23_dcoset", "bd23"])
+def test_every_party_key_matches_oracle_up_to_forty_parties(name):
+    pf = preset(name)
+    for n in range(3, 41):
+        res = run_session(SessionConfig(pf, n, 1000 + n))
+        expected = oracle_key(pf, res.internals.secrets)
+        assert all(key == expected for key in res.keys)
+
+
 def test_ladder_shift_relation():
     # party i+1's ladder is party i's shifted by one position (cyclically)
     res = run_session(SessionConfig(S4, 7, 12))

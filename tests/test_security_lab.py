@@ -8,7 +8,8 @@ import pytest
 import scipy.stats
 
 from bdga.errors import DegenerateExclusionError, RegimeError
-from bdga.platforms import make_platform, preset
+from bdga.harness import derive_seed
+from bdga.platforms import PRESET_NAMES, make_platform, preset
 from bdga.protocol import SessionConfig, oracle_key, run_session
 from bdga.security_lab import (
     Partition,
@@ -477,6 +478,15 @@ def test_exact_conditional_matches_brute_force_on_bd():
     for t in range(4):
         sample = sample_fake(BD, 4, Random(t))
         assert exact_key_conditional(BD, sample) == brute_force_conditional(BD, sample)
+
+
+@pytest.mark.parametrize("name", [p for p in PRESET_NAMES if p != "bd23"])
+def test_exact_conditional_matches_brute_force(name):
+    # bd23 is covered above; every other preset's acting group is enumerable
+    pf = preset(name)
+    for t in range(3):
+        sample = sample_fake(pf, 3 + t, Random(derive_seed(t, "conditional", name)))
+        assert exact_key_conditional(pf, sample) == brute_force_conditional(pf, sample)
 
 
 def test_prime_order_regular_platform_is_exactly_uniform():
