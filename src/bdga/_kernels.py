@@ -1,12 +1,8 @@
-"""Pure-Python kernels for the hot element operations.
+"""Kernels for the hot element operations.
 
 Permutation payloads are one-line images over 1..m, one byte per point.
 Matrix payloads are 2x2 row-major entries mod a prime p < 256, one byte each.
-The compiled backend in ``_ckernels`` implements the same functions with the
-same byte-for-byte results.
 """
-
-BACKEND = "python"
 
 # Permutation kernels run in C through bytes.translate. A payload p of degree
 # m <= 255 becomes the 256-byte lookup table b"\0" + p + padding, which maps
@@ -41,13 +37,6 @@ def perm_twisted(h, x, t):
     # h^-1 . x . t
     return t.translate(b"\0" + x + _PAD[len(x):]).translate(
         bytes.maketrans(h, _IDENTITY[: len(h)]))
-
-
-def perm_product(seq, identity):
-    acc = identity
-    for item in seq:
-        acc = perm_compose(acc, item)
-    return acc
 
 
 def _mat2_mul(a0, a1, a2, a3, b0, b1, b2, b3, p):
@@ -85,10 +74,3 @@ def mat2_twisted(h, x, t, p):
 
 def mat2_transpose_invert(a, p):
     return mat2_invert(bytes((a[0], a[2], a[1], a[3])), p)
-
-
-def mat2_product(seq, identity, p):
-    acc = identity
-    for item in seq:
-        acc = mat2_compose(acc, item, p)
-    return acc

@@ -138,18 +138,6 @@ class GroupAction:
         return f"<{type(self).__name__} {self.tag}>"
 
 
-def act(action: GroupAction, h: GroupElement, x: GroupElement) -> GroupElement:
-    return action.act(h, x)
-
-
-def orbit(action: GroupAction, x: GroupElement) -> frozenset[GroupElement]:
-    return action.orbit(x)
-
-
-def stabilizer(action: GroupAction, x: GroupElement) -> frozenset[GroupElement]:
-    return action.stabilizer(x)
-
-
 @dataclass(frozen=True)
 class OrbitStabilizerReport:
     element: GroupElement

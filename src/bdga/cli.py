@@ -93,7 +93,10 @@ def cmd_verify(args) -> int:
     try:
         tobj = load_json(args.transcript)
         transcript = transcript_from_obj(tobj)
-        desc = (tobj.get("meta") or {}).get("platform_descriptor")
+        meta = tobj.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise BdgaError("transcript meta is not an object")
+        desc = meta.get("platform_descriptor")
         if desc is None:
             raise BdgaError("transcript carries no platform descriptor")
         platform = platform_from_descriptor(desc)
@@ -132,7 +135,7 @@ def cmd_verify(args) -> int:
             return fail("keys file sid does not match the transcript")
         try:
             target.element_from_hex(kobj["sk"])
-        except (KeyError, ValueError, BdgaError):
+        except (KeyError, TypeError, ValueError, BdgaError):
             return fail("keys file sk does not decode to a target element")
     print("ok: counts, element decodability, sid and telescoping all hold")
     return 0
@@ -147,7 +150,7 @@ def cmd_experiment(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     name = args.experiment or manifest.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         print(f"error: unknown experiment {name!r}; choose from: {known}", file=sys.stderr)
         return 2

@@ -297,6 +297,12 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
     """Dispatch a named suite with its documented defaults filled in."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    for label, value in (("n", n), ("s", s)):
+        if value is not None and type(value) is not int:
+            raise BdgaError(f"{label} must be an integer, got {value!r}")
+    if tolerance is not None and (type(tolerance) is bool
+                                  or not isinstance(tolerance, (int, float))):
+        raise BdgaError(f"tolerance must be a real number, got {tolerance!r}")
     defaults = EXPERIMENT_DEFAULTS[name]
     if platform is None:
         platform = defaults["platform"]

@@ -430,9 +430,6 @@ class ProductGroup(FiniteGroup):
     def split(self, payload: bytes) -> tuple[bytes, bytes]:
         return payload[: self._cut], payload[self._cut :]
 
-    def join(self, a: bytes, b: bytes) -> bytes:
-        return a + b
-
     def compose_p(self, a, b):
         a1, a2 = self.split(a)
         b1, b2 = self.split(b)

@@ -29,7 +29,7 @@ from .errors import (
     TooFewInstancesError,
 )
 from .groups import GroupElement
-from .protocol import SessionConfig, Transcript, run_session
+from .protocol import SessionConfig, SessionRecord, Transcript, run_session
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -45,13 +45,10 @@ class OracleEnv:
         self.platform = platform
         self.rng = Random(seed)
         self.fake_keys = fake_keys
-        self._records: dict[tuple[str, int], "SessionRecordRef"] = {}
+        self._records: dict[tuple[str, int], SessionRecord] = {}
         self._bit = self.rng.getrandbits(1)
         self.test_used = False
-        self.test_invoked = False
         self.q_ex = 0
-
-    # record refs are tiny; kept in a plain dict keyed by (user, index)
 
     def execute(self, instances: Sequence[tuple[str, int]]) -> Transcript:
         """Run one session over the named fresh instances. Naming an instance
@@ -75,7 +72,7 @@ class OracleEnv:
         for key, record, sk in zip(instances, result.records, result.keys):
             if self.fake_keys:
                 sk = self.platform.target.sample(self.rng)
-            self._records[tuple(key)] = SessionRecordRef(
+            self._records[tuple(key)] = SessionRecord(
                 pid=tuple(f"{u}#{i}" for u, i in instances),
                 sid=record.sid,
                 sk=sk,
@@ -92,7 +89,6 @@ class OracleEnv:
         if rec is None or not rec.acc:
             raise InstanceNotAcceptedError(f"instance {(user, index)} has not accepted a key")
         self.test_used = True
-        self.test_invoked = True
         if self._bit == 1:
             return rec.sk
         return self.platform.target.sample(self.rng)
@@ -102,18 +98,8 @@ class OracleEnv:
         """Scoring access for the game runner (and calibration adversaries)."""
         return self._bit
 
-    def record(self, user: str, index: int) -> "SessionRecordRef":
+    def record(self, user: str, index: int) -> SessionRecord:
         return self._records[(user, index)]
-
-
-@dataclass
-class SessionRecordRef:
-    pid: tuple[str, ...]
-    sid: str
-    sk: GroupElement
-    acc: bool
-    term: bool
-    used: bool
 
 
 @dataclass
@@ -166,7 +152,7 @@ def estimate_advantage(
         except OracleContractError:
             guess = None
         q_ex += env.q_ex
-        if env.test_invoked and guess == env.hidden_bit:
+        if env.test_used and guess == env.hidden_bit:
             successes += 1
     advantage = abs(2.0 * successes / trials - 1.0)
     ci = 2.0 * wilson_half_width(successes, trials)

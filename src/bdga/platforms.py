@@ -126,14 +126,16 @@ def make_platform(kind: str, **params) -> GroupAction:
 
 def platform_from_descriptor(desc: dict) -> GroupAction:
     """Rebuild a platform from a descriptor read from outside the program;
-    one that is not a dict or lacks its kind, params or a parameter raises
-    PlatformValidationError."""
+    one that is not a dict, lacks its kind, params or a parameter, or gives
+    a parameter of the wrong type raises PlatformValidationError."""
     if not (isinstance(desc, dict) and "kind" in desc and isinstance(desc.get("params"), dict)):
         raise PlatformValidationError("platform descriptor must be a dict with kind and params")
     try:
         return make_platform(desc["kind"], **desc["params"])
     except KeyError as exc:
         raise PlatformValidationError(f"platform descriptor lacks parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PlatformValidationError(f"platform descriptor has a bad parameter: {exc}") from exc
 
 
 _PRESET_PARAMS: dict[str, dict] = {

@@ -61,8 +61,12 @@ def dump_json(obj: dict[str, Any], path: str) -> None:
 
 
 def load_json(path: str) -> dict[str, Any]:
+    """Read a JSON file whose top level is an object."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise BdgaError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise BdgaError(f"{path}: top level is not a JSON object")
+    return obj

@@ -131,8 +131,12 @@ def test_verify_truncated_file_is_a_parse_error(tmp_path, session_files):
     assert run_cli("verify", str(broken)) == 2
 
 
-@pytest.mark.parametrize("descriptor", [{"kind": "bd_modp", "params": {}}, ["bd_modp"]],
-                         ids=["missing_params", "not_a_dict"])
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "bd_modp", "params": {}},
+    ["bd_modp"],
+    {"kind": "bd_modp", "params": {"p": "23", "g": 2, "q": 11}},
+    {"kind": "bd_modp", "params": {"p": 23, "g": 2.0, "q": 11}},
+], ids=["missing_params", "not_a_dict", "string_p", "float_g"])
 def test_verify_malformed_descriptor_exits_2(session_files, capsys, descriptor):
     tpath, _ = session_files
     obj = read(tpath)
@@ -142,13 +146,49 @@ def test_verify_malformed_descriptor_exits_2(session_files, capsys, descriptor):
     assert capsys.readouterr().err.startswith("error: platform descriptor")
 
 
-@pytest.mark.parametrize("trials", [0, True])
-def test_experiment_manifest_zero_trials_exits_2(tmp_path, capsys, trials):
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"experiment": "ddh_toy_advantage", "platform": "bd23",
-                                    "n": 3, "trials": trials, "seed": 1}))
-    assert run_cli("experiment", "--manifest", str(manifest)) == 2
-    assert capsys.readouterr().err.startswith("error: trials must be")
+def test_verify_meta_not_an_object_exits_2(session_files, capsys):
+    tpath, _ = session_files
+    obj = read(tpath)
+    obj["meta"] = [1]
+    Path(tpath).write_text(json.dumps(obj))
+    assert run_cli("verify", tpath) == 2
+    assert capsys.readouterr().err.startswith("error: transcript meta is not an object")
+
+
+def test_verify_keys_file_not_an_object_exits_2(session_files, capsys):
+    tpath, kpath = session_files
+    Path(kpath).write_text(json.dumps([read(kpath)]))
+    assert run_cli("verify", tpath, kpath) == 2
+    assert "top level is not a JSON object" in capsys.readouterr().err
+
+
+def test_verify_keys_file_sk_not_a_string_fails(session_files, capsys):
+    tpath, kpath = session_files
+    kobj = read(kpath)
+    kobj["sk"] = 5
+    Path(kpath).write_text(json.dumps(kobj))
+    assert run_cli("verify", tpath, kpath) == 1
+    assert capsys.readouterr().out.startswith("FAIL: keys file sk does not decode")
+
+
+TOY_MANIFEST = {"experiment": "ddh_toy_advantage", "platform": "bd23", "n": 3, "trials": 150,
+                "seed": 1}
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({**TOY_MANIFEST, "trials": 0}, "trials must be"),
+    ({**TOY_MANIFEST, "trials": True}, "trials must be"),
+    ({**TOY_MANIFEST, "n": "4"}, "n must be an integer"),
+    ({**TOY_MANIFEST, "tolerance": "0.1"}, "tolerance must be a real number"),
+    ({**TOY_MANIFEST, "experiment": ["ddh_toy_advantage"]}, "unknown experiment"),
+    ([TOY_MANIFEST], "top level is not a JSON object"),
+], ids=["0", "True", "string_n", "string_tolerance", "list_experiment", "list_manifest"])
+def test_experiment_manifest_zero_trials_exits_2(tmp_path, capsys, manifest, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("experiment", "--manifest", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_experiment_ddh_toy_advantage_two_parties_exits_2(capsys):

@@ -1,18 +1,12 @@
-"""Kernel backends: algebraic laws and byte-for-byte backend equivalence."""
+"""Element kernels: algebraic laws, and the permutation kernels against
+reference loops."""
 
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdga._kernels import _pykernels
-
-try:
-    from bdga._kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-BACKENDS = [_pykernels] + ([_ckernels] if _ckernels else [])
+from bdga import _kernels as k
 
 
 def perms(max_degree=8):
@@ -31,16 +25,15 @@ def same_degree_perm_pairs():
     )
 
 
-@pytest.mark.parametrize("k", BACKENDS, ids=lambda k: k.BACKEND)
 class TestPermLaws:
     @given(same_degree_perm_pairs())
     @settings(max_examples=200)
-    def test_associative(self, k, abc):
+    def test_associative(self, abc):
         a, b, c = abc
         assert k.perm_compose(k.perm_compose(a, b), c) == k.perm_compose(a, k.perm_compose(b, c))
 
     @given(perms())
-    def test_identity_and_inverse(self, k, a):
+    def test_identity_and_inverse(self, a):
         e = bytes(range(1, len(a) + 1))
         assert k.perm_compose(a, e) == a
         assert k.perm_compose(e, a) == a
@@ -49,20 +42,12 @@ class TestPermLaws:
 
     @given(same_degree_perm_pairs())
     @settings(max_examples=100)
-    def test_fused_ops_match_composition(self, k, abc):
+    def test_fused_ops_match_composition(self, abc):
         h, x, j = abc
         hinv = k.perm_invert(h)
         assert k.perm_conjugate(h, x) == k.perm_compose(k.perm_compose(hinv, x), h)
         assert k.perm_sandwich(h, x, j) == k.perm_compose(k.perm_compose(h, x), j)
         assert k.perm_twisted(h, x, j) == k.perm_compose(k.perm_compose(hinv, x), j)
-
-    @given(same_degree_perm_pairs())
-    @settings(max_examples=50)
-    def test_product_folds_left(self, k, abc):
-        a, b, c = abc
-        e = bytes(range(1, len(a) + 1))
-        assert k.perm_product([a, b, c], e) == k.perm_compose(k.perm_compose(a, b), c)
-        assert k.perm_product([], e) == e
 
 
 # the generator-loop kernels the translate-based ones replaced, kept as the
@@ -105,12 +90,12 @@ def test_perm_kernels_match_reference_loops(m):
 
     for _ in range(200):
         a, b, c = perm(), perm(), perm()
-        assert _pykernels.perm_compose(a, b) == ref_perm_compose(a, b)
-        assert _pykernels.perm_invert(a) == ref_perm_invert(a)
-        assert _pykernels.perm_conjugate(a, b) == ref_perm_conjugate(a, b)
-        assert _pykernels.perm_sandwich(a, b, c) == ref_perm_sandwich(a, b, c)
-        assert _pykernels.perm_twisted(a, b, c) == ref_perm_twisted(a, b, c)
-        for out in (_pykernels.perm_compose(a, b), _pykernels.perm_invert(a)):
+        assert k.perm_compose(a, b) == ref_perm_compose(a, b)
+        assert k.perm_invert(a) == ref_perm_invert(a)
+        assert k.perm_conjugate(a, b) == ref_perm_conjugate(a, b)
+        assert k.perm_sandwich(a, b, c) == ref_perm_sandwich(a, b, c)
+        assert k.perm_twisted(a, b, c) == ref_perm_twisted(a, b, c)
+        for out in (k.perm_compose(a, b), k.perm_invert(a)):
             assert type(out) is bytes and len(out) == m
 
 
@@ -123,12 +108,11 @@ def mats(p):
     )
 
 
-@pytest.mark.parametrize("k", BACKENDS, ids=lambda k: k.BACKEND)
 @pytest.mark.parametrize("p", [3, 5, 13])
 class TestMatLaws:
     @given(data=st.data())
     @settings(max_examples=100)
-    def test_group_laws(self, k, p, data):
+    def test_group_laws(self, p, data):
         a = data.draw(mats(p))
         b = data.draw(mats(p))
         c = data.draw(mats(p))
@@ -141,7 +125,7 @@ class TestMatLaws:
 
     @given(data=st.data())
     @settings(max_examples=50)
-    def test_fused_and_transpose(self, k, p, data):
+    def test_fused_and_transpose(self, p, data):
         h = data.draw(mats(p))
         x = data.draw(mats(p))
         t = data.draw(mats(p))
@@ -155,33 +139,3 @@ class TestMatLaws:
             k.mat2_transpose_invert(h, p), k.mat2_transpose_invert(x, p), p
         )
 
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-class TestBackendEquivalence:
-    @given(same_degree_perm_pairs())
-    @settings(max_examples=300)
-    def test_perm_ops_agree(self, abc):
-        a, b, c = abc
-        assert _pykernels.perm_compose(a, b) == _ckernels.perm_compose(a, b)
-        assert _pykernels.perm_invert(a) == _ckernels.perm_invert(a)
-        assert _pykernels.perm_conjugate(a, b) == _ckernels.perm_conjugate(a, b)
-        assert _pykernels.perm_sandwich(a, b, c) == _ckernels.perm_sandwich(a, b, c)
-        assert _pykernels.perm_twisted(a, b, c) == _ckernels.perm_twisted(a, b, c)
-        e = bytes(range(1, len(a) + 1))
-        assert _pykernels.perm_product([a, b, c], e) == _ckernels.perm_product([a, b, c], e)
-
-    @pytest.mark.parametrize("p", [3, 5, 13, 251])
-    @given(data=st.data())
-    @settings(max_examples=150)
-    def test_mat_ops_agree(self, p, data):
-        a = data.draw(mats(p))
-        b = data.draw(mats(p))
-        c = data.draw(mats(p))
-        assert _pykernels.mat2_compose(a, b, p) == _ckernels.mat2_compose(a, b, p)
-        assert _pykernels.mat2_invert(a, p) == _ckernels.mat2_invert(a, p)
-        assert _pykernels.mat2_conjugate(a, b, p) == _ckernels.mat2_conjugate(a, b, p)
-        assert _pykernels.mat2_sandwich(a, b, c, p) == _ckernels.mat2_sandwich(a, b, c, p)
-        assert _pykernels.mat2_twisted(a, b, c, p) == _ckernels.mat2_twisted(a, b, c, p)
-        assert _pykernels.mat2_transpose_invert(a, p) == _ckernels.mat2_transpose_invert(a, p)
-        e = bytes((1, 0, 0, 1))
-        assert _pykernels.mat2_product([a, b, c], e, p) == _ckernels.mat2_product([a, b, c], e, p)
