@@ -12,17 +12,21 @@ second axiom hold with composition on the left.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
+import numpy as np
+
 from . import _kernels as kern
-from .errors import PlatformValidationError
+from .errors import EnumerationCapError, PlatformValidationError
 from .groups import (
     ENUMERATION_CAP,
     FiniteGroup,
     GroupElement,
+    GroupTable,
     ModCyclicGroup,
     ProductGroup,
     UnitsModGroup,
@@ -35,8 +39,45 @@ from .groups import (
 VALIDATION_TRIPLES = 10_000
 
 
+class ActionTables:
+    """A platform by element index: kept as ``GroupAction.tables`` by
+    tabulable platforms, and built by ``validate()`` for its exhaustive check.
+
+    ``H`` and ``G`` are the acting and target groups' ``GroupTable``s,
+    ``base`` is the index of the base point, and ``act[h, x]`` the index of
+    apply(h, x); ``act_flat[h * |G| + x]`` reads it one entry at a time.
+    Building the table applies every acting element to every target element
+    once, and raises PlatformValidationError if an image is not in the target.
+    """
+
+    def __init__(self, action: "GroupAction"):
+        self.H: GroupTable = action.acting.table
+        self.G: GroupTable = action.target.table
+        self.base = self.G.index[action.base_p]
+        index, apply = self.G.index, action.apply_p
+        act = np.array([[index.get(apply(h, x), -1) for x in self.G.elements]
+                        for h in self.H.elements], dtype=np.int64)
+        if (act < 0).any():
+            raise PlatformValidationError(f"{action.tag}: an image leaves the target group")
+        self.act = act.astype(self.G.dtype)
+        self.act.flags.writeable = False
+        self.act_flat = memoryview(self.act.reshape(-1))
+
+    @functools.cached_property
+    def fiber_counts_flat(self) -> memoryview:
+        """Entry x * |G| + y: how many acting elements move x to y."""
+        ng = self.G.order
+        cells = self.act + np.arange(ng, dtype=np.int64) * ng
+        return memoryview(np.bincount(cells.ravel(), minlength=ng * ng))
+
+
 class GroupAction:
-    """Base class for a left action of ``acting`` on ``target``'s elements."""
+    """Base class for a left action of ``acting`` on ``target``'s elements.
+
+    A platform is tabulable when the order of each group squared is within
+    ENUMERATION_CAP, so that every integer table (the action, and both
+    groups' products) fits the cap; every preset is.
+    """
 
     tag: str
     acting: FiniteGroup
@@ -52,6 +93,17 @@ class GroupAction:
         self._base_stab: frozenset[bytes] | None = None
         self._fibers: dict[bytes, dict[bytes, tuple[bytes, ...]]] = {}
         self.descriptor: dict = {}
+        self.tabulable = max(acting.order, target.order) ** 2 <= ENUMERATION_CAP
+
+    @functools.cached_property
+    def tables(self) -> ActionTables:
+        """The platform's integer tables, built on first use and kept."""
+        if not self.tabulable:
+            raise EnumerationCapError(
+                f"{self.tag}: |H| = {self.acting.order} or |G| = {self.target.order} "
+                f"squared exceeds the cap {ENUMERATION_CAP}"
+            )
+        return ActionTables(self)
 
     # -- payload level -----------------------------------------------------
 
@@ -103,24 +155,22 @@ class GroupAction:
     # -- validation ------------------------------------------------------------
 
     def validate(self, rng: Random | None = None) -> None:
-        """Check the two action axioms, exhaustively on small platforms and on
-        sampled triples otherwise. Raises on the first violation."""
+        """Check the two action axioms, exhaustively over an action table
+        when |H| * |G| <= VALIDATION_TRIPLES (a tabulable platform keeps its
+        tables) and on sampled triples otherwise. Raises on the first
+        violation."""
         H, G = self.acting, self.target
-        exhaustive = H.order * G.order <= VALIDATION_TRIPLES
-        if exhaustive:
-            hs = H.elements_p()
-            xs = G.elements_p()
-            for x in xs:
-                if self.apply_p(H.identity_p, x) != x:
-                    raise PlatformValidationError(f"{self.tag}: identity axiom fails")
-            for h2 in hs:
-                for h1 in hs:
-                    h21 = H.compose_p(h2, h1)
-                    for x in xs:
-                        if self.apply_p(h2, self.apply_p(h1, x)) != self.apply_p(h21, x):
-                            raise PlatformValidationError(
-                                f"{self.tag}: compatibility axiom fails"
-                            )
+        if H.order * G.order <= VALIDATION_TRIPLES:
+            # needs only the action table and H's products, never G's
+            t = self.tables if self.tabulable else ActionTables(self)
+            act = t.act
+            if not np.array_equal(act[t.H.identity], np.arange(t.G.order)):
+                raise PlatformValidationError(f"{self.tag}: identity axiom fails")
+            mul = t.H.mul
+            for h2 in range(t.H.order):
+                # row h1, column x: apply(h2, apply(h1, x)) against apply(h2 . h1, x)
+                if not np.array_equal(act[h2][act], act[mul[h2]]):
+                    raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
         else:
             rng = rng or Random(0xA11)
             for _ in range(VALIDATION_TRIPLES):

@@ -297,6 +297,8 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
     """Dispatch a named suite with its documented defaults filled in."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    if type(seed) is not int:
+        raise BdgaError(f"seed must be an integer, got {seed!r}")
     for label, value in (("n", n), ("s", s)):
         if value is not None and type(value) is not int:
             raise BdgaError(f"{label} must be an integer, got {value!r}")

@@ -8,12 +8,15 @@ equality is byte equality and elements are hashable and serializable as hex.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import _kernels as kern
 from .errors import EnumerationCapError, ForeignElementError, PlatformValidationError
@@ -44,7 +47,8 @@ class FiniteGroup:
     """Base class: payload-level operations plus element-level wrappers.
 
     Subclasses implement ``compose_p``, ``invert_p``, ``identity_p``,
-    ``order``, ``payload_len`` and ``_enumerate_p``.
+    ``order``, ``payload_len`` and ``_enumerate_p``. A subclass that
+    overrides ``sample_p`` overrides ``_draw_index`` to match it.
     """
 
     tag: str
@@ -77,20 +81,34 @@ class FiniteGroup:
             self._elements_p = self._enumerate_p()
         return self._elements_p
 
-    def index_of(self, payload: bytes) -> int:
+    def _index_map(self) -> dict[bytes, int]:
         if self._index is None:
             self._index = {p: i for i, p in enumerate(self.elements_p())}
-        return self._index[payload]
+        return self._index
+
+    def index_of(self, payload: bytes) -> int:
+        return self._index_map()[payload]
 
     def contains_p(self, payload: bytes) -> bool:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.elements_p())}
-        return payload in self._index
+        return payload in self._index_map()
 
     def sample_p(self, rng: Random) -> bytes:
-        # uniform by index into the canonical enumeration; rejection-free
-        els = self.elements_p()
-        return els[rng.randrange(len(els))]
+        return self.elements_p()[self._draw_index(rng)]
+
+    def _draw_index(self, rng: Random) -> int:
+        """The index of the element ``sample_p(rng)`` returns, drawing from
+        rng exactly as ``sample_p`` does: uniform by index into the canonical
+        enumeration, rejection-free."""
+        return rng.randrange(self.order)
+
+    def _mul_table(self) -> np.ndarray:
+        els, index, compose = self.elements_p(), self._index_map(), self.compose_p
+        return np.array([[index[compose(a, b)] for b in els] for a in els])
+
+    @functools.cached_property
+    def table(self) -> "GroupTable":
+        """The group by element index, built on first use."""
+        return GroupTable(self)
 
     # -- element level ---------------------------------------------------
 
@@ -197,6 +215,26 @@ class SymmetricGroup(_PermBase):
         images = list(range(1, self.degree + 1))
         rng.shuffle(images)
         return bytes(images)
+
+    def _draw_index(self, rng):
+        # the _randbelow choices Random.shuffle makes in sample_p, read as
+        # one mixed-radix number
+        code = 0
+        for i in range(self.degree - 1, 0, -1):
+            code = code * (i + 1) + rng._randbelow(i + 1)
+        return self._shuffle_order[code]
+
+    @functools.cached_property
+    def _shuffle_order(self) -> list[int]:
+        """The element index sample_p returns for each code of _draw_index."""
+        m, index = self.degree, self._index_map()
+        order = []
+        for choices in itertools.product(*(range(i + 1) for i in range(m - 1, 0, -1))):
+            images = list(range(1, m + 1))
+            for i, j in zip(range(m - 1, 0, -1), choices):
+                images[i], images[j] = images[j], images[i]
+            order.append(index[bytes(images)])
+        return order
 
 
 class PermutationGroup(_PermBase):
@@ -395,6 +433,7 @@ class OppositeGroup(FiniteGroup):
         self.order = base.order
         self.payload_len = base.payload_len
         self.identity_p = base.identity_p
+        self._draw_index = base._draw_index  # sample_p is the base group's too
 
     def compose_p(self, a, b):
         return self.base.compose_p(b, a)
@@ -410,6 +449,9 @@ class OppositeGroup(FiniteGroup):
 
     def sample_p(self, rng):
         return self.base.sample_p(rng)
+
+    def _mul_table(self):
+        return self.base.table.mul.T
 
     def opposite(self):
         return self.base
@@ -452,6 +494,60 @@ class ProductGroup(FiniteGroup):
 
     def sample_p(self, rng):
         return self.left.sample_p(rng) + self.right.sample_p(rng)
+
+    def _draw_index(self, rng):
+        left = self.left._draw_index(rng)
+        return left * self.right.order + self.right._draw_index(rng)
+
+    def _mul_table(self):
+        # (a, b)(c, d) = (ac, bd); the pair (a, b) has index a * |right| + b,
+        # so every partial sum fits the table's own dtype
+        left = self.left.table.mul.astype(self.table.dtype)
+        right = self.right.table.mul
+        cells = left[:, None, :, None] * self.right.order + right[None, :, None, :]
+        return cells.reshape(self.order, self.order)
+
+
+# -- integer tables -------------------------------------------------------------
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class GroupTable:
+    """An enumerable group by element index: element i is ``elements_p()[i]``.
+
+    ``draw(rng)`` returns the index of the element ``sample_p(rng)`` returns,
+    using rng the same way. ``mul[a, b]`` is the index of the product of
+    elements a and b and ``inv[a]`` that of the inverse of a, each built on
+    first use; ``mul_flat[a * order + b]`` and ``inv[a]`` read one entry at a
+    time as a Python int.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.elements = group.elements_p()
+        self.order = len(self.elements)
+        self.index = group._index_map()
+        self.identity = self.index[group.identity_p]
+        self.draw = group._draw_index
+        self.dtype = np.min_scalar_type(max(self.order - 1, 0))
+
+    @functools.cached_property
+    def mul(self) -> np.ndarray:
+        return _frozen(np.ascontiguousarray(self.group._mul_table(), dtype=self.dtype))
+
+    @functools.cached_property
+    def mul_flat(self) -> memoryview:
+        return memoryview(self.mul.reshape(-1))
+
+    @functools.cached_property
+    def inv(self) -> memoryview:
+        index, invert = self.index, self.group.invert_p
+        return memoryview(_frozen(np.array([index[invert(a)] for a in self.elements],
+                                           dtype=self.dtype)))
 
 
 # -- construction helpers ------------------------------------------------------

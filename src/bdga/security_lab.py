@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .actions import GroupAction
-from .errors import DegenerateExclusionError, RegimeError
+from .errors import DegenerateExclusionError, ForeignElementError, RegimeError
 from .groups import FiniteGroup, GroupElement
 from .harness import derive_seed
 from .protocol import PairKeySource, Transcript, uniform_pair_keys
@@ -71,47 +71,139 @@ def coset(
     )
 
 
+# -- element operations ------------------------------------------------------------
+#
+# Each sampler is written once over an element-ops backend: draws from the
+# two groups, products, inverses, the action, and the conversion of the
+# results to payloads. On tabulable platforms the elements are indices into
+# the platform's tables; otherwise they are the payloads themselves. Both
+# backends draw from the RNG exactly as the groups' sample_p do, so a seed
+# gives the same bytes on either.
+
+
+class _ByteOps:
+    """Element operations on payloads: the reference path, and the only one
+    for platforms too large to tabulate."""
+
+    def __init__(self, platform: GroupAction):
+        H, G = platform.acting, platform.target
+        self.platform = platform
+        self.g = platform.base_p
+        self.draw_h, self.draw_g = H.sample_p, G.sample_p
+        self.hmul, self.hinv = H.compose_p, H.invert_p
+        self.gmul, self.ginv = G.compose_p, G.invert_p
+        self.act = platform.apply_p
+
+    def pair_keys(self, source: PairKeySource, n: int, rng: Random) -> list[bytes]:
+        return source(self.platform, n, rng)
+
+    @staticmethod
+    def h_tuple(elements) -> tuple[bytes, ...]:
+        return tuple(elements)
+
+    g_tuple = h_tuple
+
+    @staticmethod
+    def g_bytes(element: bytes) -> bytes:
+        return element
+
+    from_h = h_tuple
+
+
+class _IndexOps:
+    """Element operations on indices, over the platform's tables."""
+
+    def __init__(self, platform: GroupAction):
+        t = platform.tables
+        H, G = t.H, t.G
+        self.platform = platform
+        self.g = t.base
+        self.draw_h, self.draw_g = H.draw, G.draw
+        self._h, self._nh = H, H.order  # H's tables are built when first used
+        self._h_el, self._h_index, self._g_el = H.elements, H.index, G.elements
+        self._gmul, self._ginv, self._ng = G.mul_flat, G.inv, G.order
+        self._act = t.act_flat
+
+    def hmul(self, a: int, b: int) -> int:
+        return self._h.mul_flat[a * self._nh + b]
+
+    def hinv(self, a: int) -> int:
+        return self._h.inv[a]
+
+    def gmul(self, a: int, b: int) -> int:
+        return self._gmul[a * self._ng + b]
+
+    def ginv(self, a: int) -> int:
+        return self._ginv[a]
+
+    def act(self, h: int, x: int) -> int:
+        return self._act[h * self._ng + x]
+
+    def pair_keys(self, source: PairKeySource, n: int, rng: Random) -> list[int]:
+        return self.from_h(source(self.platform, n, rng))
+
+    def h_tuple(self, elements) -> tuple[bytes, ...]:
+        return tuple(map(self._h_el.__getitem__, elements))
+
+    def g_tuple(self, elements) -> tuple[bytes, ...]:
+        return tuple(map(self._g_el.__getitem__, elements))
+
+    def g_bytes(self, element: int) -> bytes:
+        return self._g_el[element]
+
+    def from_h(self, payloads) -> list[int]:
+        try:
+            return [self._h_index[p] for p in payloads]
+        except KeyError as exc:
+            raise ForeignElementError(
+                f"{exc.args[0].hex()} is not an element of {self.platform.acting.tag}"
+            ) from None
+
+
+def _ops(platform: GroupAction):
+    return _IndexOps(platform) if platform.tabulable else _ByteOps(platform)
+
+
+def _ddh_tuple(ops, x, y, z, r, kind: str) -> DdhGaTuple:
+    act, g, wrap_t = ops.act, ops.g, ops.platform.target.wrap
+    t1, t2, t3, t4 = (wrap_t(ops.g_bytes(act(w, g))) for w in (x, y, z, r))
+    return DdhGaTuple(t1, t2, t3, t4, kind, ops.h_tuple((x, y, z, r)))
+
+
 def ddh_from_witness(
     platform: GroupAction, x: bytes, y: bytes, z: bytes, r: bytes, kind: str
 ) -> DdhGaTuple:
-    g = platform.base_p
-    wrap_t = platform.target.wrap
-    return DdhGaTuple(
-        wrap_t(platform.apply_p(x, g)),
-        wrap_t(platform.apply_p(y, g)),
-        wrap_t(platform.apply_p(z, g)),
-        wrap_t(platform.apply_p(r, g)),
-        kind,
-        (x, y, z, r),
-    )
+    return _ddh_tuple(_ByteOps(platform), x, y, z, r, kind)
 
 
 def sample_ddh_ga(platform: GroupAction, rng: Random, kind: str) -> DdhGaTuple:
-    H = platform.acting
-    x = H.sample_p(rng)
-    y = H.sample_p(rng)
-    yx = H.compose_p(y, x)
-    xy = H.compose_p(x, y)
+    ops = _ops(platform)
+    draw_h, hmul = ops.draw_h, ops.hmul
+    x = draw_h(rng)
+    y = draw_h(rng)
+    yx = hmul(y, x)
+    xy = hmul(x, y)
     if kind == "dh_shaped":
-        return ddh_from_witness(platform, x, y, yx, xy, kind)
+        return _ddh_tuple(ops, x, y, yx, xy, kind)
     if kind != "random_excluded":
         raise ValueError(f"unknown tuple kind {kind!r}")
     stab = platform.base_stabilizer_p()
+    H = platform.acting
     if 2 * len(stab) >= H.order:
         raise DegenerateExclusionError(
             f"stabilizer of the base point covers too much of {H.tag}: "
             f"2*{len(stab)} >= {H.order}"
         )
     # z lies in yx . Stab or xy . Stab iff it moves g to the same point.
-    g = platform.base_p
-    excluded = {platform.apply_p(yx, g), platform.apply_p(xy, g)}
-    z = H.sample_p(rng)
-    while platform.apply_p(z, g) in excluded:
-        z = H.sample_p(rng)
-    r = H.sample_p(rng)
-    while platform.apply_p(r, g) in excluded:
-        r = H.sample_p(rng)
-    return ddh_from_witness(platform, x, y, z, r, kind)
+    act, g = ops.act, ops.g
+    excluded = {act(yx, g), act(xy, g)}
+    z = draw_h(rng)
+    while act(z, g) in excluded:
+        z = draw_h(rng)
+    r = draw_h(rng)
+    while act(r, g) in excluded:
+        r = draw_h(rng)
+    return _ddh_tuple(ops, x, y, z, r, kind)
 
 
 # -- distribution samples --------------------------------------------------------
@@ -129,33 +221,25 @@ class DistributionSample:
         return self.transcript.canonical_bytes() + self.key.payload
 
 
-def _assemble(
-    platform: GroupAction,
-    n: int,
-    vs: Sequence[bytes],
-    links: Sequence[bytes],
-    cs: Sequence[bytes],
-    internals: dict,
-) -> DistributionSample:
+def _assemble(ops, n: int, vs: Sequence, links: Sequence, cs: Sequence,
+              internals: dict) -> DistributionSample:
     """Common tail of every sampler: w's from the links and pair keys, the
     broadcast differences, the transcript, and the ordered-product key.
 
     ``links[0]`` is the closing link (indices 1 back to n); ``links[k]`` for
     k >= 1 is the link from party k to party k+1.
     """
-    target = platform.target
-    ws = [platform.apply_p(cs[(i - 1) % n], links[i]) for i in range(n)]
-    zs = [
-        target.compose_p(target.invert_p(links[i]), links[(i + 1) % n]) for i in range(n)
-    ]
+    act, gmul, ginv = ops.act, ops.gmul, ops.ginv
+    ws = [act(cs[i - 1], links[i]) for i in range(n)]
+    zs = [gmul(ginv(links[i]), links[(i + 1) % n]) for i in range(n)]
     sk = links[0]
     for link in links[1:]:
-        sk = target.compose_p(sk, link)
-    transcript = Transcript(platform.tag, n, tuple(vs), tuple(ws), tuple(zs))
-    internals = dict(internals)
-    internals["links"] = tuple(links)
-    internals["c"] = tuple(cs)
-    return DistributionSample(transcript, target.wrap(sk), internals)
+        sk = gmul(sk, link)
+    platform, g_tuple = ops.platform, ops.g_tuple
+    transcript = Transcript(platform.tag, n, g_tuple(vs), g_tuple(ws), g_tuple(zs))
+    internals["links"] = g_tuple(links)
+    internals["c"] = ops.h_tuple(cs)
+    return DistributionSample(transcript, platform.target.wrap(ops.g_bytes(sk)), internals)
 
 
 def sample_real(
@@ -165,14 +249,15 @@ def sample_real(
     byte-identical transcripts and keys."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
-    H = platform.acting
-    g = platform.base_p
-    hs = [H.sample_p(rng) for _ in range(n)]
-    cs = pair_keys(platform, n, rng)
-    vs = [platform.apply_p(h, g) for h in hs]
-    links = [platform.apply_p(H.compose_p(hs[k], hs[k - 1]), g) for k in range(n)]
-    internals = {"h": tuple(hs), "s": tuple(hs), "random_links": ()}
-    return _assemble(platform, n, vs, links, cs, internals)
+    ops = _ops(platform)
+    draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
+    hs = [draw_h(rng) for _ in range(n)]
+    cs = ops.pair_keys(pair_keys, n, rng)
+    vs = [act(h, g) for h in hs]
+    links = [act(hmul(hs[k], hs[k - 1]), g) for k in range(n)]
+    secrets = ops.h_tuple(hs)
+    internals = {"h": secrets, "s": secrets, "random_links": ()}
+    return _assemble(ops, n, vs, links, cs, internals)
 
 
 def hybrid_regime(s: int) -> int:
@@ -199,19 +284,17 @@ def sample_fake_prime(
     """Honest secrets and v's, but the links at the randomized positions are
     fresh uniform target elements."""
     n = hybrid_regime(s)
-    H, G = platform.acting, platform.target
-    g = platform.base_p
-    hs = [H.sample_p(rng) for _ in range(n)]
-    cs = pair_keys(platform, n, rng)
-    vs = [platform.apply_p(h, g) for h in hs]
-    links: list[bytes] = [
-        platform.apply_p(H.compose_p(hs[k], hs[k - 1]), g) for k in range(n)
-    ]
+    ops = _ops(platform)
+    draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
+    hs = [draw_h(rng) for _ in range(n)]
+    cs = ops.pair_keys(pair_keys, n, rng)
+    vs = [act(h, g) for h in hs]
+    links = [act(hmul(hs[k], hs[k - 1]), g) for k in range(n)]
     randomized = _randomized_indices(s)
     for k in randomized:
-        links[k] = G.sample_p(rng)
-    internals = {"h": tuple(hs), "random_links": randomized}
-    return _assemble(platform, n, vs, links, cs, internals)
+        links[k] = ops.draw_g(rng)
+    internals = {"h": ops.h_tuple(hs), "random_links": randomized}
+    return _assemble(ops, n, vs, links, cs, internals)
 
 
 def sample_fake(
@@ -220,14 +303,14 @@ def sample_fake(
     """Every link uniform; only the v's are tied to the drawn secrets."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
-    H, G = platform.acting, platform.target
-    g = platform.base_p
-    hs = [H.sample_p(rng) for _ in range(n)]
-    cs = pair_keys(platform, n, rng)
-    vs = [platform.apply_p(h, g) for h in hs]
-    links = [G.sample_p(rng) for _ in range(n)]
-    internals = {"h": tuple(hs), "random_links": tuple(range(n))}
-    return _assemble(platform, n, vs, links, cs, internals)
+    ops = _ops(platform)
+    draw_h, draw_g, act, g = ops.draw_h, ops.draw_g, ops.act, ops.g
+    hs = [draw_h(rng) for _ in range(n)]
+    cs = ops.pair_keys(pair_keys, n, rng)
+    vs = [act(h, g) for h in hs]
+    links = [draw_g(rng) for _ in range(n)]
+    internals = {"h": ops.h_tuple(hs), "random_links": tuple(range(n))}
+    return _assemble(ops, n, vs, links, cs, internals)
 
 
 def sample_dist_prime(
@@ -241,51 +324,51 @@ def sample_dist_prime(
     effective secrets are recorded in internals["s"]; with a shaped tuple
     every link equals apply(s_{k+1} . s_k, g) exactly."""
     n = hybrid_regime(s)
-    H = platform.acting
-    g = platform.base_p
-    x, y, z, r = tup.witness
-    b0 = H.sample_p(rng)
-    b0p = H.sample_p(rng)
-    h0 = H.sample_p(rng)
-    betas = [H.sample_p(rng) for _ in range(s)]
-    gammas = [H.sample_p(rng) for _ in range(s)]
-    aux = [H.sample_p(rng) for _ in range(s)]
-    cs = pair_keys(platform, n, rng)
+    ops = _ops(platform)
+    draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
+    x, y, z, r = ops.from_h(tup.witness)
+    b0 = draw_h(rng)
+    b0p = draw_h(rng)
+    h0 = draw_h(rng)
+    betas = [draw_h(rng) for _ in range(s)]
+    gammas = [draw_h(rng) for _ in range(s)]
+    aux = [draw_h(rng) for _ in range(s)]
+    cs = ops.pair_keys(pair_keys, n, rng)
 
-    slots: list[bytes] = [b""] * n  # effective secret for each v slot, 0-based
-    slots[0] = H.compose_p(y, b0)
+    slots: list = [None] * n  # effective secret for each v slot, 0-based
+    slots[0] = hmul(y, b0)
     slots[1] = x
     slots[2] = y
-    slots[3] = H.compose_p(b0p, x)
+    slots[3] = hmul(b0p, x)
     slots[4] = h0
-    links: list[bytes] = [b""] * n
-    links[1] = platform.apply_p(H.compose_p(r, b0), g)
-    links[2] = platform.apply_p(z, g)
-    links[3] = platform.apply_p(H.compose_p(b0p, r), g)
+    links: list = [None] * n
+    links[1] = act(hmul(r, b0), g)
+    links[2] = act(z, g)
+    links[3] = act(hmul(b0p, r), g)
     aux_prev = h0
     for i in range(1, s + 1):
         j = 3 * i + 3  # 1-based transcript position of the block start
         beta_i, gamma_i, h_i = betas[i - 1], gammas[i - 1], aux[i - 1]
-        slots[j - 1] = H.compose_p(x, gamma_i)
-        slots[j] = H.compose_p(beta_i, y)
+        slots[j - 1] = hmul(x, gamma_i)
+        slots[j] = hmul(beta_i, y)
         slots[j + 1] = h_i
-        links[j - 1] = platform.apply_p(H.compose_p(x, H.compose_p(gamma_i, aux_prev)), g)
-        links[j] = platform.apply_p(H.compose_p(beta_i, H.compose_p(z, gamma_i)), g)
+        links[j - 1] = act(hmul(x, hmul(gamma_i, aux_prev)), g)
+        links[j] = act(hmul(beta_i, hmul(z, gamma_i)), g)
         aux_prev = h_i
-    vs = [platform.apply_p(slot, g) for slot in slots]
-    links[4] = platform.apply_p(h0, vs[3])
+    vs = [act(slot, g) for slot in slots]
+    links[4] = act(h0, vs[3])
     for i in range(1, s + 1):
         j = 3 * i + 3
-        links[j + 1] = platform.apply_p(aux[i - 1], vs[j])
-    links[0] = platform.apply_p(aux[s - 1], vs[0])
+        links[j + 1] = act(aux[i - 1], vs[j])
+    links[0] = act(aux[s - 1], vs[0])
     internals = {
-        "s": tuple(slots),
+        "s": ops.h_tuple(slots),
         "witness": tup.witness,
         "kind": tup.kind,
         "random_links": (),
         "witness_links": (1, 2, 3) + tuple(3 * i + 3 for i in range(1, s + 1)),
     }
-    return _assemble(platform, n, vs, links, cs, internals)
+    return _assemble(ops, n, vs, links, cs, internals)
 
 
 def sample_dist(
@@ -303,51 +386,47 @@ def sample_dist(
     if closing_link not in ("r", "z"):
         raise ValueError("closing_link must be 'r' or 'z'")
     n = hybrid_regime(s)
-    H, G = platform.acting, platform.target
-    g = platform.base_p
-    x, y, z, r = tup.witness
-    h1 = H.sample_p(rng)
-    h2 = H.sample_p(rng)
-    betas = [H.sample_p(rng) for _ in range(s + 1)]
-    beta_primes = [H.sample_p(rng) for _ in range(s + 1)]
-    gammas = [H.sample_p(rng) for _ in range(s + 1)]
-    cs = pair_keys(platform, n, rng)
+    ops = _ops(platform)
+    draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
+    x, y, z, r = ops.from_h(tup.witness)
+    h1 = draw_h(rng)
+    h2 = draw_h(rng)
+    betas = [draw_h(rng) for _ in range(s + 1)]
+    beta_primes = [draw_h(rng) for _ in range(s + 1)]
+    gammas = [draw_h(rng) for _ in range(s + 1)]
+    cs = ops.pair_keys(pair_keys, n, rng)
 
-    slots: list[bytes] = [b""] * n
-    slots[0] = H.compose_p(y, betas[0])
+    slots: list = [None] * n
+    slots[0] = hmul(y, betas[0])
     slots[1] = h1
     slots[2] = h2
-    slots[3] = H.compose_p(y, beta_primes[0])
-    slots[4] = H.compose_p(gammas[0], x)
-    links: list[bytes] = [b""] * n
+    slots[3] = hmul(y, beta_primes[0])
+    slots[4] = hmul(gammas[0], x)
+    links: list = [None] * n
     for i in range(1, s + 1):
         j = 3 * i + 3
-        slots[j - 1] = H.compose_p(betas[i], H.compose_p(y, H.invert_p(gammas[i - 1])))
-        slots[j] = H.compose_p(y, beta_primes[i])
-        slots[j + 1] = H.compose_p(gammas[i], x)
-    vs = [platform.apply_p(slot, g) for slot in slots]
+        slots[j - 1] = hmul(betas[i], hmul(y, ops.hinv(gammas[i - 1])))
+        slots[j] = hmul(y, beta_primes[i])
+        slots[j + 1] = hmul(gammas[i], x)
+    vs = [act(slot, g) for slot in slots]
     randomized = _randomized_indices(s)
     for k in randomized:
-        links[k] = G.sample_p(rng)
-    links[4] = platform.apply_p(
-        H.compose_p(gammas[0], H.compose_p(r, beta_primes[0])), g
-    )
+        links[k] = ops.draw_g(rng)
+    links[4] = act(hmul(gammas[0], hmul(r, beta_primes[0])), g)
     for i in range(1, s + 1):
         j = 3 * i + 3
-        links[j - 1] = platform.apply_p(H.compose_p(betas[i], z), g)
-        links[j + 1] = platform.apply_p(
-            H.compose_p(gammas[i], H.compose_p(r, beta_primes[i])), g
-        )
+        links[j - 1] = act(hmul(betas[i], z), g)
+        links[j + 1] = act(hmul(gammas[i], hmul(r, beta_primes[i])), g)
     closer = r if closing_link == "r" else z
-    links[0] = platform.apply_p(H.compose_p(gammas[s], H.compose_p(closer, betas[0])), g)
+    links[0] = act(hmul(gammas[s], hmul(closer, betas[0])), g)
     internals = {
-        "s": tuple(slots),
+        "s": ops.h_tuple(slots),
         "witness": tup.witness,
         "kind": tup.kind,
         "random_links": randomized,
         "closing_link_symbol": closing_link,
     }
-    return _assemble(platform, n, vs, links, cs, internals)
+    return _assemble(ops, n, vs, links, cs, internals)
 
 
 # -- total-variation estimation ------------------------------------------------
@@ -448,11 +527,9 @@ def tv_distance(
     pb = counts[1] / trials
     stat = 0.5 * float(np.abs(pa - pb).sum())
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "bootstrap")))
-    reps = np.empty(bootstrap_reps)
-    for i in range(bootstrap_reps):
-        ra = gen.multinomial(trials, pa) / trials
-        rb = gen.multinomial(trials, pb) / trials
-        reps[i] = 0.5 * float(np.abs(ra - rb).sum())
+    # one call, rows alternating a and b: the same draws as one call per row
+    resampled = gen.multinomial(trials, np.stack([pa, pb] * bootstrap_reps)) / trials
+    reps = 0.5 * np.abs(resampled[0::2] - resampled[1::2]).sum(axis=1)
     lo, hi = np.percentile(reps, [2.5, 97.5])
     return DistanceEstimate(stat, (float(lo), float(hi)), trials, partition.label,
                             partition.buckets)
@@ -471,10 +548,18 @@ def exact_key_conditional(platform: GroupAction, sample: DistributionSample) -> 
     the number of pair-key vectors reproducing the observed w's: for each
     link x, the size of the fiber of w over x (a coset of Stab_H(x), or
     empty). Returns integer weights per key payload (unnormalized;
-    zero-weight keys omitted).
+    zero-weight keys omitted), in the order of each key's first translate.
+
+    Tabulable platforms read the fiber sizes and products from their
+    tables; others scan the memoized fibers.
     """
+    if platform.tabulable:
+        return _table_key_conditional(platform.tables, sample.transcript)
+    return _fiber_key_conditional(platform, sample.transcript)
+
+
+def _fiber_key_conditional(platform: GroupAction, transcript: Transcript) -> dict[bytes, int]:
     target = platform.target
-    transcript = sample.transcript
     n = transcript.n
     prefix = [target.identity_p]
     for zval in transcript.z[: n - 1]:
@@ -494,6 +579,31 @@ def exact_key_conditional(platform: GroupAction, sample: DistributionSample) -> 
             for link in links[1:]:
                 sk = target.compose_p(sk, link)
             weights[sk] = weights.get(sk, 0) + weight
+    return weights
+
+
+def _table_key_conditional(tables, transcript: Transcript) -> dict[bytes, int]:
+    G = tables.G
+    index, mul, ng, counts = G.index, G.mul_flat, G.order, tables.fiber_counts_flat
+    n = transcript.n
+    prefix = [G.identity]
+    for zval in transcript.z[: n - 1]:
+        prefix.append(mul[prefix[-1] * ng + index[zval]])
+    ws = [index[w] for w in transcript.w]
+    weights: dict[bytes, int] = {}
+    for row in range(0, ng * ng, ng):  # row t * |G| of the product table
+        links = [mul[row + a] for a in prefix]
+        weight = 1
+        for x, w in zip(links, ws):
+            weight *= counts[x * ng + w]
+            if not weight:
+                break
+        if weight:
+            sk = links[0]
+            for x in links[1:]:
+                sk = mul[sk * ng + x]
+            key = G.elements[sk]
+            weights[key] = weights.get(key, 0) + weight
     return weights
 
 

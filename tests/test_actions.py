@@ -9,13 +9,13 @@ from random import Random
 
 import pytest
 
-from bdga.actions import double_act, orbit_stabilizer
+from bdga.actions import VALIDATION_TRIPLES, ConjugationAction, double_act, orbit_stabilizer
 from bdga.errors import (
     EnumerationCapError,
     ForeignElementError,
     PlatformValidationError,
 )
-from bdga.groups import SymmetricGroup
+from bdga.groups import SymmetricGroup, generated_perm_group
 from bdga.platforms import PRESET_NAMES, make_platform, platform_from_descriptor, preset
 
 # -- independent mini-oracles ---------------------------------------------------
@@ -312,3 +312,58 @@ def test_descriptor_roundtrip():
             h = pf.acting.sample_p(rng)
             x = pf.target.sample_p(rng)
             assert clone.apply_p(h, x) == pf.apply_p(h, x)
+
+
+# -- validation catches broken actions ----------------------------------------------
+
+
+class RightConjugation(ConjugationAction):
+    """x -> h^-1 x h with the subgroup acting as itself, not as its opposite
+    group: a right action passed off as a left one."""
+
+    def __init__(self, group):
+        super().__init__(group, group, group.wrap(group.elements_p()[1]))
+        self.acting = group
+
+
+class EscapingConjugation(ConjugationAction):
+    """Conjugation whose image of one point under one element is not a
+    permutation, so it leaves the target."""
+
+    def apply_p(self, h, x):
+        if h == self.acting.elements_p()[-1] and x == self.base_p:
+            return bytes(len(x))
+        return super().apply_p(h, x)
+
+
+def test_validate_catches_a_right_action_exhaustively():
+    pf = RightConjugation(SymmetricGroup(4))
+    assert pf.tabulable and pf.acting.order * pf.target.order <= VALIDATION_TRIPLES
+    with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
+        pf.validate()
+    assert "tables" in vars(pf)  # the table branch ran
+
+
+def test_validate_catches_an_action_leaving_the_target():
+    s3 = SymmetricGroup(3)
+    pf = EscapingConjugation(s3, s3, s3.wrap(bytes([2, 1, 3])))
+    with pytest.raises(PlatformValidationError, match="leaves the target"):
+        pf.validate()
+
+
+def test_validate_checks_every_triple_of_an_untabulable_platform():
+    # S7 is too large to tabulate, but by the trivial subgroup it has only
+    # 5040 triples: every one is checked, so the single escaping image is found
+    s7 = SymmetricGroup(7)
+    pf = EscapingConjugation(s7, generated_perm_group(7, []), s7.wrap(bytes([2, 1, 3, 4, 5, 6, 7])))
+    assert not pf.tabulable and pf.acting.order * pf.target.order <= VALIDATION_TRIPLES
+    with pytest.raises(PlatformValidationError, match="leaves the target"):
+        pf.validate()
+
+
+def test_validate_catches_a_right_action_by_sampling():
+    pf = RightConjugation(SymmetricGroup(5))
+    assert pf.acting.order * pf.target.order > VALIDATION_TRIPLES
+    with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
+        pf.validate()
+    assert "tables" not in vars(pf)  # the sampled branch ran

@@ -182,7 +182,12 @@ TOY_MANIFEST = {"experiment": "ddh_toy_advantage", "platform": "bd23", "n": 3, "
     ({**TOY_MANIFEST, "tolerance": "0.1"}, "tolerance must be a real number"),
     ({**TOY_MANIFEST, "experiment": ["ddh_toy_advantage"]}, "unknown experiment"),
     ([TOY_MANIFEST], "top level is not a JSON object"),
-], ids=["0", "True", "string_n", "string_tolerance", "list_experiment", "list_manifest"])
+    ({**TOY_MANIFEST, "seed": "x"}, "seed must be an integer"),
+    ({**TOY_MANIFEST, "seed": None}, "seed must be an integer"),
+    ({**TOY_MANIFEST, "seed": 1.5}, "seed must be an integer"),
+    ({**TOY_MANIFEST, "seed": True}, "seed must be an integer"),
+], ids=["0", "True", "string_n", "string_tolerance", "list_experiment", "list_manifest",
+        "string_seed", "null_seed", "float_seed", "bool_seed"])
 def test_experiment_manifest_zero_trials_exits_2(tmp_path, capsys, manifest, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(manifest))

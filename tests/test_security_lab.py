@@ -4,6 +4,7 @@ exact key-conditional analysis."""
 import warnings
 from random import Random
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -517,3 +518,36 @@ def test_bd_conditional_is_uniform_on_its_support():
     weights = exact_key_conditional(BD, sample)
     assert len(set(weights.values())) == 1
     assert 0 < len(weights) <= BD.target.order
+
+
+def _loop_bootstrap_ci(counts, trials, seed, reps=200):
+    """The bootstrap as one multinomial call per side and rep: the reference
+    for tv_distance's single batched call."""
+    pa, pb = counts[0] / trials, counts[1] / trials
+    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "bootstrap")))
+    stats = np.empty(reps)
+    for i in range(reps):
+        ra = gen.multinomial(trials, pa) / trials
+        rb = gen.multinomial(trials, pb) / trials
+        stats[i] = 0.5 * float(np.abs(ra - rb).sum())
+    lo, hi = np.percentile(stats, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("seed, trials, buckets, spread", [
+    (0, 50, 4, 4), (1, 1000, 64, 64), (2, 300, 16, 5), (3, 2000, 24, 24), (4, 7, 8, 3),
+])
+def test_tv_bootstrap_matches_per_rep_loop(seed, trials, buckets, spread):
+    # draws land in the first ``spread`` buckets only, so spread < buckets
+    # leaves empty buckets on both sides
+    part = Partition("mod", buckets, lambda v: v % spread)
+
+    def side(offset):
+        return lambda rng: rng.randrange(spread) + offset
+
+    est = tv_distance(side(0), side(1), trials, part, seed=seed)
+    counts = np.zeros((2, buckets), dtype=np.int64)
+    for s, label, offset in ((0, "a", 0), (1, "b", 1)):
+        for t in range(trials):
+            counts[s, part(side(offset)(Random(derive_seed(seed, label, t))))] += 1
+    assert est.ci95 == _loop_bootstrap_ci(counts, trials, seed)
