@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as kern
-from .errors import EnumerationCapError, PlatformValidationError
+from .errors import EnumerationCapError, ForeignElementError, PlatformValidationError
 from .groups import (
     ENUMERATION_CAP,
     FiniteGroup,
@@ -30,8 +30,6 @@ from .groups import (
     ModCyclicGroup,
     ProductGroup,
     UnitsModGroup,
-    _bytes_to_int,
-    _int_to_bytes,
     _Mat2Base,
     _PermBase,
 )
@@ -46,20 +44,33 @@ class ActionTables:
     ``H`` and ``G`` are the acting and target groups' ``GroupTable``s,
     ``base`` is the index of the base point, and ``act[h, x]`` the index of
     apply(h, x); ``act_flat[h * |G| + x]`` reads it one entry at a time.
-    Building the table applies every acting element to every target element
-    once, and raises PlatformValidationError if an image is not in the target.
+    Below VALIDATION_TRIPLES entries, or on a platform that is not tabulable,
+    the table applies every acting element to every target element once, so
+    that ``validate()`` checks ``apply_p`` itself, and raises
+    PlatformValidationError if an image is not in the target. Larger
+    tabulable sandwich actions, apply(h, x) = l(h) * x * r(h), read it from
+    the target's product table instead.
     """
 
     def __init__(self, action: "GroupAction"):
         self.H: GroupTable = action.acting.table
         self.G: GroupTable = action.target.table
         self.base = self.G.index[action.base_p]
-        index, apply = self.G.index, action.apply_p
-        act = np.array([[index.get(apply(h, x), -1) for x in self.G.elements]
-                        for h in self.H.elements], dtype=np.int64)
-        if (act < 0).any():
-            raise PlatformValidationError(f"{action.tag}: an image leaves the target group")
-        self.act = act.astype(self.G.dtype)
+        index = self.G.index
+        factors = None
+        if action.tabulable and self.H.order * self.G.order > VALIDATION_TRIPLES:
+            factors = action._sandwich_factors()
+        if factors is not None:
+            left, right = (np.array([index[p] for p in side], dtype=np.intp) for side in factors)
+            mul = self.G.mul
+            self.act = mul[mul[left], right[:, None]]
+        else:
+            apply = action.apply_p
+            act = np.array([[index.get(apply(h, x), -1) for x in self.G.elements]
+                            for h in self.H.elements], dtype=np.int64)
+            if (act < 0).any():
+                raise PlatformValidationError(f"{action.tag}: an image leaves the target group")
+            self.act = act.astype(self.G.dtype)
         self.act.flags.writeable = False
         self.act_flat = memoryview(self.act.reshape(-1))
 
@@ -105,10 +116,22 @@ class GroupAction:
             )
         return ActionTables(self)
 
+    @functools.cached_property
+    def _element_ops(self) -> "_ByteOps | _IndexOps":
+        """The platform's element-ops backend, built on first use and kept."""
+        return _IndexOps(self) if self.tabulable else _ByteOps(self)
+
     # -- payload level -----------------------------------------------------
 
     def apply_p(self, h: bytes, x: bytes) -> bytes:
         raise NotImplementedError
+
+    def _sandwich_factors(self) -> tuple[list[bytes], list[bytes]] | None:
+        """For an action of the form apply(h, x) = l(h) * x * r(h): the target
+        payloads l(h) and r(h) of every acting element, in
+        ``acting.elements_p()`` order; None for any other action. A subclass
+        that overrides ``apply_p`` overrides this to match."""
+        return None
 
     @property
     def base(self) -> GroupElement:
@@ -188,6 +211,108 @@ class GroupAction:
         return f"<{type(self).__name__} {self.tag}>"
 
 
+# -- element operations ------------------------------------------------------------
+#
+# The samplers and the protocol are each written once over an element-ops
+# backend: draws from the two groups, products, inverses, the action, and the
+# conversions between payloads and elements. On tabulable platforms the
+# elements are indices into the platform's tables; otherwise they are the
+# payloads themselves. Both backends draw from the RNG exactly as the groups'
+# sample_p do, so a seed gives the same bytes on either.
+
+
+class _ByteOps:
+    """Element operations on payloads: the reference path, and the only one
+    for platforms too large to tabulate."""
+
+    def __init__(self, platform: GroupAction):
+        H, G = platform.acting, platform.target
+        self.platform = platform
+        self.g = platform.base_p
+        self.draw_h, self.draw_g = H.sample_p, G.sample_p
+        self.hmul, self.hinv = H.compose_p, H.invert_p
+        self.gmul, self.ginv = G.compose_p, G.invert_p
+        self.act = platform.apply_p
+
+    def pair_keys(self, source, n: int, rng: Random) -> list[bytes]:
+        return source(self.platform, n, rng)
+
+    @staticmethod
+    def h_tuple(elements) -> tuple[bytes, ...]:
+        return tuple(elements)
+
+    g_tuple = from_h = from_g = h_tuple
+
+    @staticmethod
+    def g_bytes(element: bytes) -> bytes:
+        return element
+
+
+class _IndexOps:
+    """Element operations on indices, over the platform's tables. ``from_h``
+    and ``from_g`` raise ForeignElementError for a payload outside the group."""
+
+    def __init__(self, platform: GroupAction):
+        t = platform.tables
+        H, G = t.H, t.G
+        self.platform = platform
+        self.g = t.base
+        self.draw_h, self.draw_g = H.draw, G.draw
+        self._h, self._nh = H, H.order  # H's tables are built when first used
+        self._h_el, self._g_el = H.elements, G.elements
+        self._h_index, self._g_index = H.index, G.index
+        self._ginv, self._ng = G.inv, G.order
+        self._act = t.act_flat
+        # the hottest operation (the key ladders): a closure reads no
+        # attributes per call
+        mul, ng = G.mul_flat, G.order
+        self.gmul = lambda a, b: mul[a * ng + b]
+
+    def hmul(self, a: int, b: int) -> int:
+        return self._h.mul_flat[a * self._nh + b]
+
+    def hinv(self, a: int) -> int:
+        return self._h.inv[a]
+
+    def ginv(self, a: int) -> int:
+        return self._ginv[a]
+
+    def act(self, h: int, x: int) -> int:
+        return self._act[h * self._ng + x]
+
+    def pair_keys(self, source, n: int, rng: Random) -> list[int]:
+        return self.from_h(source(self.platform, n, rng))
+
+    def h_tuple(self, elements) -> tuple[bytes, ...]:
+        return tuple(map(self._h_el.__getitem__, elements))
+
+    def g_tuple(self, elements) -> tuple[bytes, ...]:
+        return tuple(map(self._g_el.__getitem__, elements))
+
+    def g_bytes(self, element: int) -> bytes:
+        return self._g_el[element]
+
+    def from_h(self, payloads) -> list[int]:
+        return _indices(self._h_index, self.platform.acting, payloads)
+
+    def from_g(self, payloads) -> list[int]:
+        return _indices(self._g_index, self.platform.target, payloads)
+
+
+def _indices(index: dict[bytes, int], group: FiniteGroup, payloads) -> list[int]:
+    try:
+        return [index[p] for p in payloads]
+    except KeyError as exc:
+        raise ForeignElementError(f"{exc.args[0].hex()} is not an element of {group.tag}") from None
+
+
+def _ops(platform: GroupAction) -> _ByteOps | _IndexOps:
+    """The element-ops backend the samplers and the protocol run on: the
+    platform's own, kept on it. Tests replace this function to drive both
+    modules on the byte backend."""
+    return platform._element_ops
+
+
 @dataclass(frozen=True)
 class OrbitStabilizerReport:
     element: GroupElement
@@ -216,9 +341,8 @@ class ExponentAction(GroupAction):
         self.q = q
 
     def apply_p(self, h, x):
-        return _int_to_bytes(
-            pow(_bytes_to_int(x), _bytes_to_int(h), self.p), self.target.payload_len
-        )
+        return pow(int.from_bytes(x, "big"), int.from_bytes(h, "big"), self.p).to_bytes(
+            self.target.payload_len, "big")
 
 
 def _require_same_family(target: FiniteGroup, sub: FiniteGroup, role: str) -> None:
@@ -262,6 +386,10 @@ class ConjugationAction(GroupAction):
 
     def apply_p(self, h, x):
         return self._conj(h, x)
+
+    def _sandwich_factors(self):
+        hs = self.acting.elements_p()
+        return [self.target.invert_p(h) for h in hs], hs
 
 
 class TwistedConjugacyAction(GroupAction):
@@ -309,6 +437,10 @@ class TwistedConjugacyAction(GroupAction):
 
     def apply_p(self, h, x):
         return self._twist(h, x, self._endo[h])
+
+    def _sandwich_factors(self):
+        hs = self.acting.elements_p()
+        return [self.target.invert_p(h) for h in hs], [self._endo[h] for h in hs]
 
 
 class LeftTranslationAction(GroupAction):
@@ -376,6 +508,10 @@ class DoubleCosetAction(GroupAction):
 
     def apply_p(self, hj, x):
         return self._sandwich(hj[: self._cut], x, hj[self._cut :])
+
+    def _sandwich_factors(self):
+        hjs, cut = self.acting.elements_p(), self._cut
+        return [hj[:cut] for hj in hjs], [hj[cut:] for hj in hjs]
 
     def pair(self, h: GroupElement, j: GroupElement) -> GroupElement:
         """Bundle one element of each subgroup into an acting-group element."""

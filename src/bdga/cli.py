@@ -27,11 +27,18 @@ from .actions import GroupAction
 
 
 def _parse_perm_list(text: str) -> list[list[int]]:
+    """Permutations in one-line form, points separated by commas or spaces
+    and permutations by semicolons; at least one."""
     gens = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            gens.append([int(v) for v in chunk.replace(",", " ").split()])
+        tokens = chunk.replace(",", " ").split()
+        if tokens:
+            try:
+                gens.append([int(v) for v in tokens])
+            except ValueError:
+                raise BdgaError(f"not a list of integer points: {chunk.strip()!r}") from None
+    if not gens:
+        raise BdgaError(f"no permutation given in {text!r}")
     return gens
 
 

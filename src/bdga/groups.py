@@ -35,14 +35,6 @@ class GroupElement:
         return self.payload.hex()
 
 
-def _int_to_bytes(v: int, width: int) -> bytes:
-    return v.to_bytes(width, "big")
-
-
-def _bytes_to_int(b: bytes) -> int:
-    return int.from_bytes(b, "big")
-
-
 class FiniteGroup:
     """Base class: payload-level operations plus element-level wrappers.
 
@@ -156,6 +148,8 @@ def perm_payload(one_line: Sequence[int]) -> bytes:
     m = len(one_line)
     if sorted(one_line) != list(range(1, m + 1)):
         raise PlatformValidationError(f"not a permutation of 1..{m}: {one_line!r}")
+    if m > 255:
+        raise PlatformValidationError(f"a permutation of {m} points: at most 255 are supported")
     return bytes(one_line)
 
 
@@ -283,6 +277,24 @@ class _Mat2Base(FiniteGroup):
     def invert_p(self, a):
         return kern.mat2_invert(a, self.p)
 
+    def _mul_table(self):
+        # Row r of a product a.b is (row r of a).b. Number the distinct rows
+        # of the elements, tabulate row.b for every such row and every
+        # element b in numpy, and read each product off its two row numbers.
+        p = self.p
+        m = np.frombuffer(b"".join(self.elements_p()), dtype=np.uint8).reshape(-1, 2, 2)
+        m = m.astype(np.int64)
+        rows, numbered = np.unique(m[:, :, 0] * p + m[:, :, 1], return_inverse=True)
+        first, second = numbered.reshape(-1, 2).T
+        row_number = np.zeros(p * p, dtype=np.min_scalar_type(len(rows)))
+        row_number[rows] = np.arange(len(rows))
+        x, y = (v[:, None] for v in np.divmod(rows, p))
+        times = row_number[(x * m[:, 0, 0] + y * m[:, 1, 0]) % p * p
+                           + (x * m[:, 0, 1] + y * m[:, 1, 1]) % p]
+        by_rows = np.zeros((len(rows), len(rows)), dtype=self.table.dtype)
+        by_rows[first, second] = np.arange(len(m))
+        return by_rows[times[first], times[second]]
+
     def element(self, entries) -> GroupElement:
         payload = mat2_payload(entries, self.p)
         if not self.contains_p(payload):
@@ -372,20 +384,21 @@ class ModCyclicGroup(FiniteGroup):
         self.q = q
         self.order = q
         self.payload_len = (p.bit_length() + 7) // 8
-        self.identity_p = _int_to_bytes(1, self.payload_len)
-        self._elements_p = [_int_to_bytes(v, self.payload_len) for v in powers]
+        self.identity_p = (1).to_bytes(self.payload_len, "big")
+        self._elements_p = [v.to_bytes(self.payload_len, "big") for v in powers]
 
     def _enumerate_p(self):
         return self._elements_p
 
     def compose_p(self, a, b):
-        return _int_to_bytes(_bytes_to_int(a) * _bytes_to_int(b) % self.p, self.payload_len)
+        return (int.from_bytes(a, "big") * int.from_bytes(b, "big") % self.p).to_bytes(
+            self.payload_len, "big")
 
     def invert_p(self, a):
-        return _int_to_bytes(pow(_bytes_to_int(a), -1, self.p), self.payload_len)
+        return pow(int.from_bytes(a, "big"), -1, self.p).to_bytes(self.payload_len, "big")
 
     def element(self, value: int) -> GroupElement:
-        payload = _int_to_bytes(value % self.p, self.payload_len)
+        payload = (value % self.p).to_bytes(self.payload_len, "big")
         if not self.contains_p(payload):
             raise ForeignElementError(f"{value} is not a power of {self.g} mod {self.p}")
         return self.wrap(payload)
@@ -402,20 +415,21 @@ class UnitsModGroup(FiniteGroup):
         self.q = q
         self.order = len(units)
         self.payload_len = (q.bit_length() + 7) // 8
-        self.identity_p = _int_to_bytes(1, self.payload_len)
-        self._elements_p = [_int_to_bytes(v, self.payload_len) for v in units]
+        self.identity_p = (1).to_bytes(self.payload_len, "big")
+        self._elements_p = [v.to_bytes(self.payload_len, "big") for v in units]
 
     def _enumerate_p(self):
         return self._elements_p
 
     def compose_p(self, a, b):
-        return _int_to_bytes(_bytes_to_int(a) * _bytes_to_int(b) % self.q, self.payload_len)
+        return (int.from_bytes(a, "big") * int.from_bytes(b, "big") % self.q).to_bytes(
+            self.payload_len, "big")
 
     def invert_p(self, a):
-        return _int_to_bytes(pow(_bytes_to_int(a), -1, self.q), self.payload_len)
+        return pow(int.from_bytes(a, "big"), -1, self.q).to_bytes(self.payload_len, "big")
 
     def element(self, value: int) -> GroupElement:
-        payload = _int_to_bytes(value % self.q, self.payload_len)
+        payload = (value % self.q).to_bytes(self.payload_len, "big")
         if not self.contains_p(payload):
             raise ForeignElementError(f"{value} is not a unit mod {self.q}")
         return self.wrap(payload)

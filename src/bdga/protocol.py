@@ -17,11 +17,14 @@ the same group element.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
 
+from . import actions
 from .actions import GroupAction
 from .errors import ProtocolStateError, RegimeError
 from .groups import GroupElement
@@ -84,7 +87,13 @@ class SessionRecord:
 
 class PartyState:
     """One party's view of a run. Fields are written exactly once, in round
-    order; reading a missing earlier field raises."""
+    order; reading a missing earlier field raises.
+
+    The methods take and return payloads. Inside, the fields hold elements
+    of the platform's element-ops backend (table indices on tabulable
+    platforms), converted at each method's boundary; ``run_session`` drives
+    the element-level steps (``_write_once``, ``_round2`` ...) directly.
+    """
 
     def __init__(self, platform: GroupAction, index: int, n: int):
         if n < 3:
@@ -94,79 +103,98 @@ class PartyState:
         self.platform = platform
         self.index = index
         self.n = n
-        self.secret: bytes | None = None
-        self.c_left: bytes | None = None
-        self.c_right: bytes | None = None
-        self.v_prev: bytes | None = None
-        self.v_next: bytes | None = None
-        self.w_next: bytes | None = None
-        self.x: bytes | None = None
-        self.y: bytes | None = None
-        self.z: bytes | None = None
-        self.z_all: tuple[bytes, ...] | None = None
+        self._ops = actions._ops(platform)
+        self.secret = None
+        self.c_left = None
+        self.c_right = None
+        self.v_prev = None
+        self.v_next = None
+        self.w_next = None
+        self.x = None
+        self.y = None
+        self.z = None
+        self.z_all = None
 
-    def _need(self, name: str) -> bytes:
+    def _need(self, name: str):
         value = getattr(self, name)
         if value is None:
             raise ProtocolStateError(f"party {self.index}: {name} not available yet")
         return value
 
-    def _write_once(self, name: str, value) -> None:
-        if getattr(self, name) is not None:
-            raise ProtocolStateError(f"party {self.index}: {name} already set")
-        setattr(self, name, value)
+    def _write_once(self, **fields) -> None:
+        for name, value in fields.items():
+            if getattr(self, name) is not None:
+                raise ProtocolStateError(f"party {self.index}: {name} already set")
+            setattr(self, name, value)
 
     # -- round 1/2 inputs ---------------------------------------------------
 
     def set_pair_keys(self, left: bytes, right: bytes) -> None:
-        self._write_once("c_left", left)
-        self._write_once("c_right", right)
+        left, right = self._ops.from_h((left, right))
+        self._write_once(c_left=left, c_right=right)
 
     def set_secret(self, h: bytes) -> None:
-        self._write_once("secret", h)
+        (h,) = self._ops.from_h((h,))
+        self._write_once(secret=h)
 
     def receive_round2(self, v_prev: bytes, v_next: bytes) -> None:
-        self._write_once("v_prev", v_prev)
-        self._write_once("v_next", v_next)
+        v_prev, v_next = self._ops.from_g((v_prev, v_next))
+        self._write_once(v_prev=v_prev, v_next=v_next)
 
     def receive_round3(self, w_next: bytes) -> None:
-        self._write_once("w_next", w_next)
+        (w_next,) = self._ops.from_g((w_next,))
+        self._write_once(w_next=w_next)
 
     def receive_round4(self, z_all: Sequence[bytes]) -> None:
         if len(z_all) != self.n:
             raise ProtocolStateError(f"expected {self.n} broadcast values, got {len(z_all)}")
-        self._write_once("z_all", tuple(z_all))
+        self._write_once(z_all=tuple(self._ops.from_g(z_all)))
 
     # -- round outputs ---------------------------------------------------------
 
     def round2_message(self) -> bytes:
-        return self.platform.apply_p(self._need("secret"), self.platform.base_p)
+        return self._ops.g_bytes(self._round2())
 
     def round3_message(self) -> bytes:
-        exponent = self.platform.acting.compose_p(self._need("c_left"), self._need("secret"))
-        return self.platform.apply_p(exponent, self._need("v_prev"))
+        return self._ops.g_bytes(self._round3())
 
     def round4_values(self) -> tuple[bytes, bytes, bytes]:
-        platform = self.platform
-        target = platform.target
-        x = platform.apply_p(self._need("secret"), self._need("v_prev"))
-        c_inv = platform.acting.invert_p(self._need("c_right"))
-        y = platform.apply_p(c_inv, self._need("w_next"))
-        z = target.compose_p(target.invert_p(x), y)
-        self._write_once("x", x)
-        self._write_once("y", y)
-        self._write_once("z", z)
-        return x, y, z
+        return self._ops.g_tuple(self._round4())
 
     def compute_key(self) -> bytes:
-        ladder = key_ladder(self.platform, self._need("x"), self._need("z_all"), self.index)
+        ops = self._ops
+        ladder = _ladder(ops.gmul, self._need("x"), self._need("z_all"), self.index)
         # 1..n rotated back by index - 1: cycle_step applied index - 1 times
-        order = [wrap(k - self.index + 1, self.n) for k in range(1, self.n + 1)]
-        target = self.platform.target
-        key = ladder[order[0] - 1]
-        for k in order[1:]:
-            key = target.compose_p(key, ladder[k - 1])
-        return key
+        return ops.g_bytes(functools.reduce(ops.gmul, _rotated(ladder, 1 - self.index)))
+
+    # -- the same rounds on backend elements -------------------------------------
+
+    def _round2(self):
+        ops = self._ops
+        return ops.act(self._need("secret"), ops.g)
+
+    def _round3(self):
+        ops = self._ops
+        return ops.act(ops.hmul(self._need("c_left"), self._need("secret")), self._need("v_prev"))
+
+    def _round4(self):
+        ops = self._ops
+        x = ops.act(self._need("secret"), self._need("v_prev"))
+        y = ops.act(ops.hinv(self._need("c_right")), self._need("w_next"))
+        z = ops.gmul(ops.ginv(x), y)
+        self._write_once(x=x, y=y, z=z)
+        return x, y, z
+
+
+def _rotated(seq: Sequence, shift: int) -> Sequence:
+    """``seq`` cyclically rotated to start at position ``shift`` mod its length."""
+    k = shift % len(seq)
+    return seq[k:] + seq[:k]
+
+
+def _ladder(gmul, x, z_all: Sequence, index: int) -> list:
+    # the broadcasts from party index's own onwards, folded into X_i
+    return list(itertools.accumulate(_rotated(z_all, index - 1)[:-1], gmul, initial=x))
 
 
 def key_ladder(
@@ -175,12 +203,9 @@ def key_ladder(
     """The accumulating values party ``index`` folds into its key: the first
     is X_i, and each next one multiplies in the broadcast value of the next
     party around the cycle."""
-    n = len(z_all)
-    target = platform.target
-    ladder = [x]
-    for k in range(1, n):
-        ladder.append(target.compose_p(ladder[-1], z_all[wrap(index + k - 1, n) - 1]))
-    return ladder
+    ops = actions._ops(platform)
+    (x,) = ops.from_g((x,))
+    return list(ops.g_tuple(_ladder(ops.gmul, x, ops.from_g(z_all), index)))
 
 
 def oracle_key(platform: GroupAction, secrets: Sequence[GroupElement | bytes]) -> GroupElement:
@@ -242,31 +267,32 @@ def run_session(config: SessionConfig) -> SessionResult:
     platform, n = config.platform, config.n
     if n < 3:
         raise RegimeError(f"party count {n} < 3 (pair keys and the key ordering degenerate)")
+    ops = actions._ops(platform)
     rng = Random(config.rng_seed)
-    secrets = [platform.acting.sample_p(rng) for _ in range(n)]
-    pair_keys = config.pair_key_source(platform, n, rng)
+    secrets = [ops.draw_h(rng) for _ in range(n)]
+    pair_keys = ops.pair_keys(config.pair_key_source, n, rng)
     if len(pair_keys) != n:
         raise ProtocolStateError(f"pair-key source produced {len(pair_keys)} keys, wanted {n}")
 
     parties = [PartyState(platform, i + 1, n) for i in range(n)]
     for i, party in enumerate(parties):
-        party.set_pair_keys(pair_keys[i - 1], pair_keys[i])
-        party.set_secret(secrets[i])
+        party._write_once(c_left=pair_keys[i - 1], c_right=pair_keys[i], secret=secrets[i])
 
-    vs = [party.round2_message() for party in parties]
+    vs = [party._round2() for party in parties]
     for i, party in enumerate(parties):
-        party.receive_round2(vs[i - 1], vs[(i + 1) % n])
+        party._write_once(v_prev=vs[i - 1], v_next=vs[(i + 1) % n])
 
-    ws = [party.round3_message() for party in parties]
+    ws = [party._round3() for party in parties]
     for i, party in enumerate(parties):
-        party.receive_round3(ws[(i + 1) % n])
+        party._write_once(w_next=ws[(i + 1) % n])
 
-    round4 = [party.round4_values() for party in parties]
-    zs = [z for _, _, z in round4]
+    round4 = [party._round4() for party in parties]
+    zs = tuple(z for _, _, z in round4)
     for party in parties:
-        party.receive_round4(zs)
+        party._write_once(z_all=zs)
 
-    transcript = Transcript(platform.tag, n, tuple(vs), tuple(ws), tuple(zs))
+    g_tuple = ops.g_tuple
+    transcript = Transcript(platform.tag, n, g_tuple(vs), g_tuple(ws), g_tuple(zs))
     sid = transcript.sid
     pid = tuple(f"U{i + 1}" for i in range(n))
     keys = tuple(platform.target.wrap(party.compute_key()) for party in parties)
@@ -274,9 +300,9 @@ def run_session(config: SessionConfig) -> SessionResult:
         SessionRecord(pid=pid, sid=sid, sk=key, acc=True, term=True, used=True) for key in keys
     )
     internals = SessionInternals(
-        secrets=tuple(secrets),
-        pair_keys=tuple(pair_keys),
-        x=tuple(x for x, _, _ in round4),
-        y=tuple(y for _, y, _ in round4),
+        secrets=ops.h_tuple(secrets),
+        pair_keys=ops.h_tuple(pair_keys),
+        x=g_tuple(x for x, _, _ in round4),
+        y=g_tuple(y for _, y, _ in round4),
     )
     return SessionResult(transcript, records, keys, internals)

@@ -30,8 +30,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import actions
 from .actions import GroupAction
-from .errors import DegenerateExclusionError, ForeignElementError, RegimeError
+from .errors import DegenerateExclusionError, RegimeError
 from .groups import FiniteGroup, GroupElement
 from .harness import derive_seed
 from .protocol import PairKeySource, Transcript, uniform_pair_keys
@@ -71,97 +72,9 @@ def coset(
     )
 
 
-# -- element operations ------------------------------------------------------------
-#
-# Each sampler is written once over an element-ops backend: draws from the
-# two groups, products, inverses, the action, and the conversion of the
-# results to payloads. On tabulable platforms the elements are indices into
-# the platform's tables; otherwise they are the payloads themselves. Both
-# backends draw from the RNG exactly as the groups' sample_p do, so a seed
-# gives the same bytes on either.
-
-
-class _ByteOps:
-    """Element operations on payloads: the reference path, and the only one
-    for platforms too large to tabulate."""
-
-    def __init__(self, platform: GroupAction):
-        H, G = platform.acting, platform.target
-        self.platform = platform
-        self.g = platform.base_p
-        self.draw_h, self.draw_g = H.sample_p, G.sample_p
-        self.hmul, self.hinv = H.compose_p, H.invert_p
-        self.gmul, self.ginv = G.compose_p, G.invert_p
-        self.act = platform.apply_p
-
-    def pair_keys(self, source: PairKeySource, n: int, rng: Random) -> list[bytes]:
-        return source(self.platform, n, rng)
-
-    @staticmethod
-    def h_tuple(elements) -> tuple[bytes, ...]:
-        return tuple(elements)
-
-    g_tuple = h_tuple
-
-    @staticmethod
-    def g_bytes(element: bytes) -> bytes:
-        return element
-
-    from_h = h_tuple
-
-
-class _IndexOps:
-    """Element operations on indices, over the platform's tables."""
-
-    def __init__(self, platform: GroupAction):
-        t = platform.tables
-        H, G = t.H, t.G
-        self.platform = platform
-        self.g = t.base
-        self.draw_h, self.draw_g = H.draw, G.draw
-        self._h, self._nh = H, H.order  # H's tables are built when first used
-        self._h_el, self._h_index, self._g_el = H.elements, H.index, G.elements
-        self._gmul, self._ginv, self._ng = G.mul_flat, G.inv, G.order
-        self._act = t.act_flat
-
-    def hmul(self, a: int, b: int) -> int:
-        return self._h.mul_flat[a * self._nh + b]
-
-    def hinv(self, a: int) -> int:
-        return self._h.inv[a]
-
-    def gmul(self, a: int, b: int) -> int:
-        return self._gmul[a * self._ng + b]
-
-    def ginv(self, a: int) -> int:
-        return self._ginv[a]
-
-    def act(self, h: int, x: int) -> int:
-        return self._act[h * self._ng + x]
-
-    def pair_keys(self, source: PairKeySource, n: int, rng: Random) -> list[int]:
-        return self.from_h(source(self.platform, n, rng))
-
-    def h_tuple(self, elements) -> tuple[bytes, ...]:
-        return tuple(map(self._h_el.__getitem__, elements))
-
-    def g_tuple(self, elements) -> tuple[bytes, ...]:
-        return tuple(map(self._g_el.__getitem__, elements))
-
-    def g_bytes(self, element: int) -> bytes:
-        return self._g_el[element]
-
-    def from_h(self, payloads) -> list[int]:
-        try:
-            return [self._h_index[p] for p in payloads]
-        except KeyError as exc:
-            raise ForeignElementError(
-                f"{exc.args[0].hex()} is not an element of {self.platform.acting.tag}"
-            ) from None
-
-
-def _ops(platform: GroupAction):
-    return _IndexOps(platform) if platform.tabulable else _ByteOps(platform)
+# Each sampler is written once over the platform's element-ops backend
+# (``actions._ops``): indices into its tables on tabulable platforms, payloads
+# otherwise, with the same RNG draws and the same bytes out.
 
 
 def _ddh_tuple(ops, x, y, z, r, kind: str) -> DdhGaTuple:
@@ -173,11 +86,11 @@ def _ddh_tuple(ops, x, y, z, r, kind: str) -> DdhGaTuple:
 def ddh_from_witness(
     platform: GroupAction, x: bytes, y: bytes, z: bytes, r: bytes, kind: str
 ) -> DdhGaTuple:
-    return _ddh_tuple(_ByteOps(platform), x, y, z, r, kind)
+    return _ddh_tuple(actions._ByteOps(platform), x, y, z, r, kind)
 
 
 def sample_ddh_ga(platform: GroupAction, rng: Random, kind: str) -> DdhGaTuple:
-    ops = _ops(platform)
+    ops = actions._ops(platform)
     draw_h, hmul = ops.draw_h, ops.hmul
     x = draw_h(rng)
     y = draw_h(rng)
@@ -249,7 +162,7 @@ def sample_real(
     byte-identical transcripts and keys."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
-    ops = _ops(platform)
+    ops = actions._ops(platform)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     hs = [draw_h(rng) for _ in range(n)]
     cs = ops.pair_keys(pair_keys, n, rng)
@@ -284,7 +197,7 @@ def sample_fake_prime(
     """Honest secrets and v's, but the links at the randomized positions are
     fresh uniform target elements."""
     n = hybrid_regime(s)
-    ops = _ops(platform)
+    ops = actions._ops(platform)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     hs = [draw_h(rng) for _ in range(n)]
     cs = ops.pair_keys(pair_keys, n, rng)
@@ -303,7 +216,7 @@ def sample_fake(
     """Every link uniform; only the v's are tied to the drawn secrets."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
-    ops = _ops(platform)
+    ops = actions._ops(platform)
     draw_h, draw_g, act, g = ops.draw_h, ops.draw_g, ops.act, ops.g
     hs = [draw_h(rng) for _ in range(n)]
     cs = ops.pair_keys(pair_keys, n, rng)
@@ -324,7 +237,7 @@ def sample_dist_prime(
     effective secrets are recorded in internals["s"]; with a shaped tuple
     every link equals apply(s_{k+1} . s_k, g) exactly."""
     n = hybrid_regime(s)
-    ops = _ops(platform)
+    ops = actions._ops(platform)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     x, y, z, r = ops.from_h(tup.witness)
     b0 = draw_h(rng)
@@ -386,7 +299,7 @@ def sample_dist(
     if closing_link not in ("r", "z"):
         raise ValueError("closing_link must be 'r' or 'z'")
     n = hybrid_regime(s)
-    ops = _ops(platform)
+    ops = actions._ops(platform)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     x, y, z, r = ops.from_h(tup.witness)
     h1 = draw_h(rng)

@@ -72,6 +72,22 @@ def test_run_custom_conjugation_platform(tmp_path):
     assert read(f"{out}.transcript.json")["meta"]["platform_descriptor"]["params"]["degree"] == 4
 
 
+PERM_300 = ",".join(map(str, [*range(2, 301), 1]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--platform", "conjugation", "--degree", "4", "--base", "a"],
+    ["--platform", "conjugation", "--degree", "4", "--base="],
+    ["--platform", "conjugation", "--degree", "4", "--group", "x", "--base", "2,3,4,1"],
+    ["--platform", "double_coset", "--degree", "4", "--base", "2,1,3,4", "--right", "q"],
+    ["--platform", "conjugation", "--degree", "300", "--group", PERM_300, "--base", PERM_300],
+], ids=["letter_base", "empty_base", "letter_group", "letter_right", "300_points"])
+def test_run_bad_permutation_input_exits_2(tmp_path, capsys, argv):
+    assert run_cli("run", *argv, "--n", "3", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_accepts_valid_transcript(session_files, capsys):
     tpath, kpath = session_files
     assert run_cli("verify", tpath, kpath) == 0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdga.errors import ProtocolStateError, RegimeError
-from bdga.platforms import preset
+from bdga.platforms import make_platform, preset
 from bdga.protocol import (
     PartyState,
     SessionConfig,
@@ -237,9 +237,15 @@ def test_session_keys_agree_and_match_oracle():
                 assert rec.pid == tuple(f"U{i+1}" for i in range(n))
 
 
-@pytest.mark.parametrize("name", ["s4_conj", "gl25_twist", "sl23_dcoset", "bd23"])
+@pytest.mark.parametrize("name", ["s4_conj", "gl25_twist", "sl23_dcoset", "bd23", "bd_modp_2039"])
 def test_every_party_key_matches_oracle_up_to_forty_parties(name):
-    pf = preset(name)
+    # the presets run on tables; q = 1019 units is too many to tabulate, so
+    # the last platform checks the byte path
+    if name == "bd_modp_2039":
+        pf = make_platform("bd_modp", p=2039, g=4, q=1019)
+        assert not pf.tabulable
+    else:
+        pf = preset(name)
     for n in range(3, 41):
         res = run_session(SessionConfig(pf, n, 1000 + n))
         expected = oracle_key(pf, res.internals.secrets)

@@ -1,22 +1,36 @@
 """The integer-table path against the byte-level reference path.
 
-Tabulable platforms draw their samples in index space and condition keys on
-the action table. Every sampler here is driven once over the tables and once
-over payloads (the private ``_ops`` backend choice), on every preset, and
-must give the same transcript, key and internals and leave the RNG in the
-same state after every draw.
+Tabulable platforms draw their samples and run their sessions in index
+space and condition keys on the action table. Every sampler and the key
+exchange are driven here once over the tables and once over payloads (the
+private ``actions._ops`` backend choice), on every preset, and must give the
+same bytes and leave the RNG in the same state after every draw. The
+vectorized table builds are checked against the element-by-element loops.
 """
 
 from random import Random
 
+import numpy as np
 import pytest
 
-from bdga import security_lab
+from bdga import actions, security_lab
 from bdga.errors import DegenerateExclusionError, ForeignElementError
-from bdga.groups import GL2Group, ProductGroup, SymmetricGroup, generated_perm_group
+from bdga.groups import (
+    GL2Group,
+    ProductGroup,
+    SymmetricGroup,
+    generated_mat2_group,
+    generated_perm_group,
+)
 from bdga.harness import derive_seed
 from bdga.platforms import PRESET_NAMES, preset
-from bdga.protocol import uniform_pair_keys
+from bdga.protocol import (
+    PartyState,
+    SessionConfig,
+    Transcript,
+    run_session,
+    uniform_pair_keys,
+)
 
 SEEDS = range(200)
 
@@ -63,7 +77,7 @@ def test_samplers_on_tables_match_bytes(name, monkeypatch):
     assert pf.tabulable
     on_tables = [draw_script(pf, seed) for seed in SEEDS]
     with monkeypatch.context() as m:
-        m.setattr(security_lab, "_ops", security_lab._ByteOps)
+        m.setattr(actions, "_ops", actions._ByteOps)
         on_bytes = [draw_script(pf, seed) for seed in SEEDS]
     for seed, (got, want) in enumerate(zip(on_tables, on_bytes)):
         assert len(got) == len(want)
@@ -105,11 +119,97 @@ def test_index_draw_matches_sample_p(group):
 
 
 def test_group_tables_match_compose_and_invert():
+    # the matrix groups' products are built in numpy, the others' by the loop
     a4 = generated_perm_group(4, [[2, 3, 1, 4], [1, 3, 4, 2]])
     for group in (SymmetricGroup(4).opposite(), ProductGroup(SymmetricGroup(3), a4.opposite()),
-                  GL2Group(3)):
+                  GL2Group(3), GL2Group(5), generated_mat2_group(3, [[1, 1, 0, 1], [0, 2, 1, 0]]),
+                  generated_mat2_group(251, [[1, 1, 0, 1], [250, 0, 0, 1]])):
         t = group.table
         for a, pa in enumerate(t.elements):
             assert t.elements[t.inv[a]] == group.invert_p(pa)
             for b, pb in enumerate(t.elements):
                 assert t.elements[t.mul[a, b]] == group.compose_p(pa, pb)
+
+
+def drive_parties(config):
+    """One session through PartyState's public methods alone, drawing the
+    secrets and pair keys as run_session does: (transcript, keys, x, y)."""
+    pf, n = config.platform, config.n
+    rng = Random(config.rng_seed)
+    secrets = [pf.acting.sample_p(rng) for _ in range(n)]
+    cs = config.pair_key_source(pf, n, rng)
+    parties = [PartyState(pf, i + 1, n) for i in range(n)]
+    for i, p in enumerate(parties):
+        p.set_pair_keys(cs[i - 1], cs[i])
+        p.set_secret(secrets[i])
+    vs = [p.round2_message() for p in parties]
+    for i, p in enumerate(parties):
+        p.receive_round2(vs[i - 1], vs[(i + 1) % n])
+    ws = [p.round3_message() for p in parties]
+    for i, p in enumerate(parties):
+        p.receive_round3(ws[(i + 1) % n])
+    round4 = [p.round4_values() for p in parties]
+    zs = [z for _, _, z in round4]
+    for p in parties:
+        p.receive_round4(zs)
+    transcript = Transcript(pf.tag, n, tuple(vs), tuple(ws), tuple(zs))
+    keys = tuple(pf.target.wrap(p.compute_key()) for p in parties)
+    return transcript, keys, tuple(x for x, _, _ in round4), tuple(y for _, y, _ in round4)
+
+
+def session_script(pf):
+    """run_session and a hand-driven session at n = 3..12 over 100 seeds,
+    each with the default and a custom pair-key source."""
+    out = []
+    for seed in range(100):
+        for source in (uniform_pair_keys, reversed_pair_keys):
+            config = SessionConfig(pf, 3 + seed % 10, derive_seed(seed, "session"), source)
+            res = run_session(config)
+            out.append((res.transcript, res.keys, res.records, res.internals))
+            out.append(drive_parties(config))
+    return out
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sessions_on_tables_match_bytes(name, monkeypatch):
+    pf = preset(name)
+    assert isinstance(actions._ops(pf), actions._IndexOps)
+    on_tables = session_script(pf)
+    with monkeypatch.context() as m:
+        m.setattr(actions, "_ops", actions._ByteOps)
+        on_bytes = session_script(pf)
+    assert len(on_tables) == len(on_bytes) == 400
+    for i, (got, want) in enumerate(zip(on_tables, on_bytes)):
+        assert got == want, (name, i)
+    for res, hand in zip(on_tables[::2], on_tables[1::2]):
+        assert hand == (res[0], res[1], res[3].x, res[3].y)
+
+
+def test_table_session_rejects_foreign_elements():
+    pf = preset("s4_conj")
+
+    def foreign_pair_keys(platform, n, rng):
+        return uniform_pair_keys(platform, n - 1, rng) + [bytes(4)]
+
+    with pytest.raises(ForeignElementError):
+        run_session(SessionConfig(pf, 4, 1, foreign_pair_keys))
+    party = PartyState(pf, 1, 3)
+    with pytest.raises(ForeignElementError):
+        party.set_pair_keys(pf.acting.identity_p, bytes(4))
+    with pytest.raises(ForeignElementError):
+        party.receive_round2(pf.base_p, bytes([1, 1, 2, 3]))
+    with pytest.raises(ForeignElementError):
+        party.receive_round4([pf.base_p, pf.base_p, b"\x05\x01\x02\x03"])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_action_table_matches_apply_p(name):
+    """Above VALIDATION_TRIPLES entries (s5_conj, gl25_conj, gl25_twist,
+    sl23_dcoset) the table is read off the target's products; below it, it
+    is the apply_p loop itself."""
+    pf = preset(name)
+    formula = pf.acting.order * pf.target.order > actions.VALIDATION_TRIPLES
+    assert formula == (name in {"s5_conj", "gl25_conj", "gl25_twist", "sl23_dcoset"})
+    t = pf.tables
+    want = [[t.G.index[pf.apply_p(h, x)] for x in t.G.elements] for h in t.H.elements]
+    assert np.array_equal(t.act, want)
