@@ -223,7 +223,9 @@ class GroupAction:
 
 class _ByteOps:
     """Element operations on payloads: the reference path, and the only one
-    for platforms too large to tabulate."""
+    for platforms too large to tabulate. ``from_h`` and ``from_g`` raise
+    ForeignElementError for a payload outside the group, through its
+    ``contains_p``."""
 
     def __init__(self, platform: GroupAction):
         H, G = platform.acting, platform.target
@@ -241,7 +243,13 @@ class _ByteOps:
     def h_tuple(elements) -> tuple[bytes, ...]:
         return tuple(elements)
 
-    g_tuple = from_h = from_g = h_tuple
+    g_tuple = h_tuple
+
+    def from_h(self, payloads) -> list[bytes]:
+        return _members(self.platform.acting, payloads)
+
+    def from_g(self, payloads) -> list[bytes]:
+        return _members(self.platform.target, payloads)
 
     @staticmethod
     def g_bytes(element: bytes) -> bytes:
@@ -299,11 +307,23 @@ class _IndexOps:
         return _indices(self._g_index, self.platform.target, payloads)
 
 
+def _foreign(group: FiniteGroup, payload: bytes) -> ForeignElementError:
+    return ForeignElementError(f"{payload.hex()} is not an element of {group.tag}")
+
+
 def _indices(index: dict[bytes, int], group: FiniteGroup, payloads) -> list[int]:
     try:
         return [index[p] for p in payloads]
     except KeyError as exc:
-        raise ForeignElementError(f"{exc.args[0].hex()} is not an element of {group.tag}") from None
+        raise _foreign(group, exc.args[0]) from None
+
+
+def _members(group: FiniteGroup, payloads) -> list[bytes]:
+    payloads = list(payloads)
+    for p in payloads:
+        if not group.contains_p(p):
+            raise _foreign(group, p)
+    return payloads
 
 
 def _ops(platform: GroupAction) -> _ByteOps | _IndexOps:
@@ -419,21 +439,34 @@ class TwistedConjugacyAction(GroupAction):
         for img in self._endo.values():
             if not target.contains_p(img):
                 raise PlatformValidationError("endomorphism image leaves the target group")
-        pairs = itertools.product(members, repeat=2) if len(members) ** 2 <= 10**6 else None
-        if pairs is None:
-            rng = Random(0xE2D)
-            pairs = (
-                (subgroup.sample_p(rng), subgroup.sample_p(rng)) for _ in range(VALIDATION_TRIPLES)
-            )
-        for a, b in pairs:
-            ab = subgroup.compose_p(a, b)
-            if self._endo[ab] != target.compose_p(self._endo[a], self._endo[b]):
-                raise PlatformValidationError("endomorphism is not multiplicative")
+        if not self._multiplicative(subgroup, target):
+            raise PlatformValidationError("endomorphism is not multiplicative")
         if isinstance(target, _PermBase):
             self._twist = kern.perm_twisted
         else:
             p = target.p  # type: ignore[attr-defined]
             self._twist = lambda h, x, t, _p=p: kern.mat2_twisted(h, x, t, _p)
+
+    def _multiplicative(self, subgroup: FiniteGroup, target: FiniteGroup) -> bool:
+        """Whether the images respect the subgroup's products: over both
+        groups' product tables when both are tabulable, else on every pair
+        of a subgroup of order at most 1000, else on sampled pairs."""
+        endo = self._endo
+        if max(subgroup.order, target.order) ** 2 <= ENUMERATION_CAP:
+            S, G = subgroup.table, target.table
+            # e[s]: the target index of the image of subgroup element s
+            e = np.array([G.index[endo[h]] for h in S.elements], dtype=np.intp)
+            return np.array_equal(e[S.mul], G.mul[e[:, None], e[None, :]])
+        members = subgroup.elements_p()
+        if len(members) ** 2 <= ENUMERATION_CAP:
+            pairs = itertools.product(members, repeat=2)
+        else:
+            rng = Random(0xE2D)
+            pairs = (
+                (subgroup.sample_p(rng), subgroup.sample_p(rng)) for _ in range(VALIDATION_TRIPLES)
+            )
+        compose_s, compose_t = subgroup.compose_p, target.compose_p
+        return all(endo[compose_s(a, b)] == compose_t(endo[a], endo[b]) for a, b in pairs)
 
     def apply_p(self, h, x):
         return self._twist(h, x, self._endo[h])

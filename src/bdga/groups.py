@@ -40,7 +40,7 @@ class FiniteGroup:
 
     Subclasses implement ``compose_p``, ``invert_p``, ``identity_p``,
     ``order``, ``payload_len`` and ``_enumerate_p``. A subclass that
-    overrides ``sample_p`` overrides ``_draw_index`` to match it.
+    overrides ``sample_p`` overrides ``_draw_plan`` to match it.
     """
 
     tag: str
@@ -87,11 +87,19 @@ class FiniteGroup:
     def sample_p(self, rng: Random) -> bytes:
         return self.elements_p()[self._draw_index(rng)]
 
-    def _draw_index(self, rng: Random) -> int:
-        """The index of the element ``sample_p(rng)`` returns, drawing from
-        rng exactly as ``sample_p`` does: uniform by index into the canonical
-        enumeration, rejection-free."""
-        return rng.randrange(self.order)
+    def _draw_plan(self) -> tuple[tuple[int, ...], Sequence[int] | None]:
+        """How ``sample_p`` consumes the RNG: the bounds of its successive
+        ``_randbelow`` calls (their product is the order), and the element
+        index for each mixed-radix code of their results (None where the
+        code is the index). Here one call, ``randrange(order)``, picks the
+        index into the canonical enumeration."""
+        return (self.order,), None
+
+    @functools.cached_property
+    def _draw_index(self) -> Callable[[Random], int]:
+        """``_draw_index(rng)``: the index of the element ``sample_p(rng)``
+        returns, drawing from rng exactly as ``sample_p`` does."""
+        return _rejection_draw(*self._draw_plan())
 
     def _mul_table(self) -> np.ndarray:
         els, index, compose = self.elements_p(), self._index_map(), self.compose_p
@@ -210,17 +218,14 @@ class SymmetricGroup(_PermBase):
         rng.shuffle(images)
         return bytes(images)
 
-    def _draw_index(self, rng):
-        # the _randbelow choices Random.shuffle makes in sample_p, read as
-        # one mixed-radix number
-        code = 0
-        for i in range(self.degree - 1, 0, -1):
-            code = code * (i + 1) + rng._randbelow(i + 1)
-        return self._shuffle_order[code]
+    def _draw_plan(self):
+        # the _randbelow choices Random.shuffle makes in sample_p
+        return tuple(range(self.degree, 1, -1)), self._shuffle_order
 
     @functools.cached_property
     def _shuffle_order(self) -> list[int]:
-        """The element index sample_p returns for each code of _draw_index."""
+        """The element index sample_p returns for each code of its shuffle's
+        choices."""
         m, index = self.degree, self._index_map()
         order = []
         for choices in itertools.product(*(range(i + 1) for i in range(m - 1, 0, -1))):
@@ -397,6 +402,14 @@ class ModCyclicGroup(FiniteGroup):
     def invert_p(self, a):
         return pow(int.from_bytes(a, "big"), -1, self.p).to_bytes(self.payload_len, "big")
 
+    def contains_p(self, payload):
+        # Z_p^* is cyclic and q divides p - 1, so the powers of g are exactly
+        # the residues x with x^q = 1
+        if len(payload) != self.payload_len:
+            return False
+        x = int.from_bytes(payload, "big")
+        return 0 < x < self.p and pow(x, self.q, self.p) == 1
+
     def element(self, value: int) -> GroupElement:
         payload = (value % self.p).to_bytes(self.payload_len, "big")
         if not self.contains_p(payload):
@@ -428,6 +441,12 @@ class UnitsModGroup(FiniteGroup):
     def invert_p(self, a):
         return pow(int.from_bytes(a, "big"), -1, self.q).to_bytes(self.payload_len, "big")
 
+    def contains_p(self, payload):
+        if len(payload) != self.payload_len:
+            return False
+        x = int.from_bytes(payload, "big")
+        return 0 < x < self.q and math.gcd(x, self.q) == 1
+
     def element(self, value: int) -> GroupElement:
         payload = (value % self.q).to_bytes(self.payload_len, "big")
         if not self.contains_p(payload):
@@ -447,7 +466,6 @@ class OppositeGroup(FiniteGroup):
         self.order = base.order
         self.payload_len = base.payload_len
         self.identity_p = base.identity_p
-        self._draw_index = base._draw_index  # sample_p is the base group's too
 
     def compose_p(self, a, b):
         return self.base.compose_p(b, a)
@@ -463,6 +481,9 @@ class OppositeGroup(FiniteGroup):
 
     def sample_p(self, rng):
         return self.base.sample_p(rng)
+
+    def _draw_plan(self):
+        return self.base._draw_plan()
 
     def _mul_table(self):
         return self.base.table.mul.T
@@ -509,9 +530,18 @@ class ProductGroup(FiniteGroup):
     def sample_p(self, rng):
         return self.left.sample_p(rng) + self.right.sample_p(rng)
 
-    def _draw_index(self, rng):
-        left = self.left._draw_index(rng)
-        return left * self.right.order + self.right._draw_index(rng)
+    def _draw_plan(self):
+        # the left factor's draws, then the right's; the pair (a, b) has
+        # index a * |right| + b, and so has the pair of codes when neither
+        # factor maps its codes
+        (left, left_order), (right, right_order) = (
+            f._draw_plan() for f in (self.left, self.right))
+        if left_order is None and right_order is None:
+            return left + right, None
+        left_order = left_order or range(self.left.order)
+        right_order = right_order or range(self.right.order)
+        nr = self.right.order
+        return left + right, [a * nr + b for a in left_order for b in right_order]
 
     def _mul_table(self):
         # (a, b)(c, d) = (ac, bd); the pair (a, b) has index a * |right| + b,
@@ -523,6 +553,40 @@ class ProductGroup(FiniteGroup):
 
 
 # -- integer tables -------------------------------------------------------------
+
+
+def _rejection_draw(bounds: tuple[int, ...], order: Sequence[int] | None
+                    ) -> Callable[[Random], int]:
+    """A draw consuming a ``random.Random`` as ``_randbelow(n)`` does for
+    each bound n in turn: CPython's rejection loop over ``getrandbits`` of
+    n's bit length. The results are read as one mixed-radix number, mapped
+    through ``order`` when given. No ``randrange``, ``_randbelow`` or
+    ``shuffle`` call is made."""
+    if len(bounds) == 1 and order is None:
+        (n,) = bounds
+        k = n.bit_length()
+
+        def draw(rng: Random) -> int:
+            getrandbits = rng.getrandbits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        return draw
+    steps = tuple((n, n.bit_length()) for n in bounds)
+
+    def draw_code(rng: Random) -> int:
+        getrandbits = rng.getrandbits
+        code = 0
+        for n, k in steps:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            code = code * n + r
+        return code if order is None else order[code]
+
+    return draw_code
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

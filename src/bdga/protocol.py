@@ -231,8 +231,11 @@ PairKeySource = Callable[[GroupAction, int, Random], list[bytes]]
 
 def uniform_pair_keys(platform: GroupAction, n: int, rng: Random) -> list[bytes]:
     """Default round-1 stand-in: each neighboring pair shares a fresh uniform
-    element of the acting group, drawn from the session RNG."""
-    return [platform.acting.sample_p(rng) for _ in range(n)]
+    element of the acting group, drawn from the session RNG by the
+    platform's element-ops backend (the same draws as ``sample_p``)."""
+    ops = actions._ops(platform)
+    draw = ops.draw_h
+    return list(ops.h_tuple([draw(rng) for _ in range(n)]))
 
 
 @dataclass

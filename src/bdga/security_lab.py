@@ -8,11 +8,21 @@ Five samplers produce (transcript, key) pairs plus hidden internals:
                         three thereafter replaced by uniform target elements
                         (party count restricted to n = 3s + 5)
   sample_fake        -- every chain link uniform
-  sample_dist_prime  -- links derived from a four-element challenge tuple so
-                        that a shaped tuple reproduces sample_real and a
-                        coset-excluded random tuple approximates fake_prime
-  sample_dist        -- as above but shifted one hybrid: shaped tuples match
-                        fake_prime, random tuples match fake
+  sample_dist_prime  -- links derived from a four-element challenge tuple;
+                        a coset-excluded random tuple approximates
+                        fake_prime, and a shaped tuple gives sample_real's
+                        links except the closing one (below)
+  sample_dist        -- as above but shifted one hybrid: shaped tuples give
+                        fake_prime's links except the closing one, random
+                        tuples match fake
+
+With a shaped tuple and the slot secrets s_1..s_n recorded in internals["s"],
+the link from party k to k+1 (k = 1..n-1, outside the uniform positions) is
+apply(s_{k+1} . s_k, g), as in the protocol. The closing link is
+apply(s_n . s_1, g), where the protocol's is apply(s_1 . s_n, g): the two
+agree on commutative platforms only, so on non-abelian ones the shaped
+hybrids do not reproduce sample_real and sample_fake_prime exactly (ROADMAP
+item 1).
 
 ``tv_distance`` estimates the total-variation distance between two samplers
 over a finite bucket partition (a sound lower bound on the true distance),
@@ -235,7 +245,10 @@ def sample_dist_prime(
 ) -> DistributionSample:
     """Embed the challenge tuple across every third link. The per-slot
     effective secrets are recorded in internals["s"]; with a shaped tuple
-    every link equals apply(s_{k+1} . s_k, g) exactly."""
+    the link from party k to k+1 is apply(s_{k+1} . s_k, g) for k = 1..n-1
+    and the closing link is apply(s_n . s_1, g), the protocol's
+    apply(s_1 . s_n, g) reversed, so the two differ on non-abelian
+    platforms (ROADMAP item 1)."""
     n = hybrid_regime(s)
     ops = actions._ops(platform)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
@@ -295,7 +308,11 @@ def sample_dist(
     """One hybrid later: the positions randomized in fake_prime are drawn
     uniformly here, and the challenge tuple feeds the remaining links. The
     closing link composes the witness element named by ``closing_link``
-    ("r" or "z"; "r" makes a shaped tuple reproduce fake_prime exactly)."""
+    ("r" or "z"). With a shaped tuple and "r", the links outside the
+    uniform positions are fake_prime's, apply(s_{k+1} . s_k, g), except the
+    closing link: it is apply(s_n . s_1, g), the reverse of fake_prime's
+    apply(s_1 . s_n, g), so the two differ on non-abelian platforms
+    (ROADMAP item 1)."""
     if closing_link not in ("r", "z"):
         raise ValueError("closing_link must be 'r' or 'z'")
     n = hybrid_regime(s)

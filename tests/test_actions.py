@@ -9,13 +9,19 @@ from random import Random
 
 import pytest
 
-from bdga.actions import VALIDATION_TRIPLES, ConjugationAction, double_act, orbit_stabilizer
+from bdga.actions import (
+    VALIDATION_TRIPLES,
+    ConjugationAction,
+    TwistedConjugacyAction,
+    double_act,
+    orbit_stabilizer,
+)
 from bdga.errors import (
     EnumerationCapError,
     ForeignElementError,
     PlatformValidationError,
 )
-from bdga.groups import SymmetricGroup, generated_perm_group
+from bdga.groups import GL2Group, SymmetricGroup, generated_perm_group
 from bdga.platforms import PRESET_NAMES, make_platform, platform_from_descriptor, preset
 
 # -- independent mini-oracles ---------------------------------------------------
@@ -299,6 +305,43 @@ def test_make_platform_rejects_bad_parameters():
             # an involution cannot map to a 3-cycle
             endo={"gens": [[2, 1, 3], [2, 3, 1]], "images": [[2, 3, 1], [2, 3, 1]]},
         )
+
+
+def test_twisted_conjugacy_rejects_a_non_multiplicative_endomorphism():
+    # transpose-inverse on GL(2,3), checked over both product tables, with
+    # the image of one element altered to the identity
+    gl = GL2Group(3)
+    shear = bytes((1, 1, 0, 1))
+
+    def transpose_inverse(a):
+        return bytes(o_mat_inv((a[0], a[2], a[1], a[3]), 3))
+
+    def altered(a):
+        return gl.identity_p if a == shear else transpose_inverse(a)
+
+    TwistedConjugacyAction(gl, gl, gl.wrap(shear), transpose_inverse, "ti")
+    with pytest.raises(PlatformValidationError, match="endomorphism is not multiplicative"):
+        TwistedConjugacyAction(gl, gl, gl.wrap(shear), altered, "altered")
+
+
+def test_twisted_conjugacy_checks_every_pair_below_an_untabulable_target():
+    # S7 is too large to tabulate, so the endomorphism of the order-3
+    # subgroup is checked pair by pair: sending the 3-cycle c to the
+    # identity but c^2 to itself is not multiplicative
+    s7 = SymmetricGroup(7)
+    c = bytes([2, 3, 1, 4, 5, 6, 7])
+    sub = generated_perm_group(7, [list(c)])
+    c2 = bytes(o_perm_mul(c, c))
+    base = s7.wrap(bytes([2, 1, 3, 4, 5, 6, 7]))
+    assert sub.order == 3
+
+    TwistedConjugacyAction(s7, sub, base, lambda a: a, "identity")
+    with pytest.raises(PlatformValidationError, match="endomorphism is not multiplicative"):
+        TwistedConjugacyAction(
+            s7, sub, base, lambda a: s7.identity_p if a == c else a, "collapsed")
+    with pytest.raises(PlatformValidationError, match="endomorphism is not multiplicative"):
+        TwistedConjugacyAction(s7, sub, base, {c: c2, c2: c2, s7.identity_p: s7.identity_p}.get,
+                               "squared")
 
 
 def test_descriptor_roundtrip():

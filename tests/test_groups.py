@@ -173,3 +173,18 @@ def test_extend_homomorphism_consistency():
     # an involution cannot map to a 3-cycle
     with pytest.raises(PlatformValidationError):
         extend_homomorphism([swap], [cyc], s3.compose_p, s3.identity_p, s3.identity_p)
+
+
+@pytest.mark.parametrize("group", [
+    UnitsModGroup(2), UnitsModGroup(21), UnitsModGroup(251),
+    ModCyclicGroup(23, 2, 11), ModCyclicGroup(23, 5, 22), ModCyclicGroup(257, 3, 256),
+], ids=lambda g: g.tag)
+def test_modular_membership_is_arithmetic_and_exact(group):
+    # every payload of the group's width and its neighbours' agrees with the
+    # enumeration, and no index map is built to decide it
+    width = group.payload_len
+    candidates = [v.to_bytes(width, "big") for v in range(256 ** width)]
+    candidates += [b"", bytes(width + 1), group.identity_p + b"\x00"]
+    got = [p for p in candidates if group.contains_p(p)]
+    assert group._index is None
+    assert got == sorted(group.elements_p())

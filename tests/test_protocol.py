@@ -11,7 +11,8 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from bdga.errors import ProtocolStateError, RegimeError
+from bdga import actions
+from bdga.errors import ForeignElementError, ProtocolStateError, RegimeError
 from bdga.platforms import make_platform, preset
 from bdga.protocol import (
     PartyState,
@@ -320,6 +321,39 @@ def test_round_order_is_enforced():
     p.receive_round4([S4.target.identity_p] * 3)
     with pytest.raises(ProtocolStateError):
         p.compute_key()  # x still missing
+
+
+def test_byte_backend_parties_reject_foreign_payloads():
+    # too large to tabulate, so parties hold payloads; membership is read off
+    # the groups' contains_p, and the modular groups build no index map
+    s10 = make_platform("conjugation", family="perm", degree=10, group="full",
+                        subgroup="group", base=[2, 3, 4, 5, 6, 7, 8, 9, 10, 1])
+    bd = make_platform("bd_modp", p=200087, g=4, q=100043)
+    non_residue = (200087 - 1).to_bytes(3, "big")  # -1, as 200087 = 3 mod 4
+    for pf, h_bad, g_bad in (
+        (s10, [bytes(10), b"\n" * 10, bytes(range(1, 10))], [bytes([1] * 10)]),
+        (bd, [bytes(3), (100043).to_bytes(3, "big"), b"\x01"], [bytes(3), non_residue]),
+    ):
+        assert isinstance(actions._ops(pf), actions._ByteOps)
+        e, g = pf.acting.identity_p, pf.base_p
+        for bad in h_bad:
+            with pytest.raises(ForeignElementError):
+                PartyState(pf, 1, 3).set_secret(bad)
+            with pytest.raises(ForeignElementError):
+                PartyState(pf, 1, 3).set_pair_keys(e, bad)
+        for bad in g_bad:
+            with pytest.raises(ForeignElementError):
+                PartyState(pf, 1, 3).receive_round2(g, bad)
+            with pytest.raises(ForeignElementError):
+                PartyState(pf, 1, 3).receive_round3(bad)
+            with pytest.raises(ForeignElementError):
+                PartyState(pf, 1, 3).receive_round4([g, bad, g])
+        party = PartyState(pf, 1, 3)
+        party.set_secret(e)
+        party.set_pair_keys(e, e)
+        party.receive_round2(g, g)
+        assert party.round2_message() == g
+    assert bd.acting._index is None and bd.target._index is None
 
 
 def test_pair_key_source_is_pluggable():

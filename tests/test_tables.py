@@ -17,8 +17,11 @@ from bdga import actions, security_lab
 from bdga.errors import DegenerateExclusionError, ForeignElementError
 from bdga.groups import (
     GL2Group,
+    ModCyclicGroup,
+    OppositeGroup,
     ProductGroup,
     SymmetricGroup,
+    UnitsModGroup,
     generated_mat2_group,
     generated_perm_group,
 )
@@ -106,16 +109,77 @@ def test_table_conditional_matches_fibers(name):
         assert all(type(w) is int for w in got.values())
 
 
+def reference_sample(group, rng):
+    """sample_p as the groups wrote it before index draws: a shuffle for a
+    symmetric group, factor by factor for a product, the base's for an
+    opposite group, and randrange into the enumeration otherwise."""
+    if isinstance(group, OppositeGroup):
+        return reference_sample(group.base, rng)
+    if isinstance(group, ProductGroup):
+        return reference_sample(group.left, rng) + reference_sample(group.right, rng)
+    if isinstance(group, SymmetricGroup):
+        images = list(range(1, group.degree + 1))
+        rng.shuffle(images)
+        return bytes(images)
+    return group.elements_p()[rng.randrange(group.order)]
+
+
+def assert_draws_match(group, draws=300):
+    """The table's index draw, sample_p and the reference: the same element
+    and the same RNG state after every draw."""
+    t = group.table
+    a, b, c = Random(7), Random(7), Random(7)
+    for _ in range(draws):
+        index = t.draw(a)
+        payload = group.sample_p(b)
+        assert t.elements[index] == payload == reference_sample(group, c)
+        assert index == t.index[payload]
+        assert a.getstate() == b.getstate() == c.getstate()
+
+
 @pytest.mark.parametrize("group", [
     SymmetricGroup(1), SymmetricGroup(2), SymmetricGroup(5), SymmetricGroup(6),
     GL2Group(3), SymmetricGroup(4).opposite(),
     ProductGroup(SymmetricGroup(3), generated_perm_group(4, [[2, 3, 1, 4]]).opposite()),
+    generated_perm_group(3, [], tag="trivial3"), UnitsModGroup(21), UnitsModGroup(2),
+    ModCyclicGroup(23, 2, 11), ModCyclicGroup(1019, 4, 509),
+    # orders 16 and 8: a power of two is the one bound whose bit length
+    # differs from that of the largest value drawn
+    UnitsModGroup(17), generated_perm_group(4, [[2, 3, 4, 1], [4, 3, 2, 1]], tag="d4"),
+    generated_mat2_group(3, [[1, 1, 0, 1], [0, 2, 1, 0]], tag="sl2_3"),
+    ProductGroup(SymmetricGroup(3), SymmetricGroup(2)),
+    ProductGroup(SymmetricGroup(3), SymmetricGroup(2)).opposite(),
+    ProductGroup(UnitsModGroup(9), ModCyclicGroup(23, 2, 11)),
 ], ids=lambda g: g.tag)
 def test_index_draw_matches_sample_p(group):
-    a, b = Random(7), Random(7)
-    for _ in range(300):
-        assert group.table.elements[group.table.draw(a)] == group.sample_p(b)
-        assert a.getstate() == b.getstate()
+    assert_draws_match(group)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_index_draws_match_sample_p(name):
+    pf = preset(name)
+    assert_draws_match(pf.acting)
+    assert_draws_match(pf.target)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_uniform_pair_keys_match_on_both_backends(name, monkeypatch):
+    pf = preset(name)
+
+    def keys_script():
+        rng = Random(derive_seed(3, "pair keys", name))
+        out = []
+        for n in range(1, 40):
+            keys = uniform_pair_keys(pf, n, rng)
+            assert type(keys) is list and len(keys) == n
+            out.append((keys, rng.getstate()))
+        return out
+
+    on_tables = keys_script()
+    with monkeypatch.context() as m:
+        m.setattr(actions, "_ops", actions._ByteOps)
+        on_bytes = keys_script()
+    assert on_tables == on_bytes
 
 
 def test_group_tables_match_compose_and_invert():
