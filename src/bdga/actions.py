@@ -237,7 +237,7 @@ class _ByteOps:
         self.act = platform.apply_p
 
     def pair_keys(self, source, n: int, rng: Random) -> list[bytes]:
-        return source(self.platform, n, rng)
+        return self.from_h(source(self.platform, n, rng))
 
     @staticmethod
     def h_tuple(elements) -> tuple[bytes, ...]:
@@ -449,10 +449,12 @@ class TwistedConjugacyAction(GroupAction):
 
     def _multiplicative(self, subgroup: FiniteGroup, target: FiniteGroup) -> bool:
         """Whether the images respect the subgroup's products: over both
-        groups' product tables when both are tabulable, else on every pair
-        of a subgroup of order at most 1000, else on sampled pairs."""
+        groups' product tables on a tabulable platform with more than
+        VALIDATION_TRIPLES pairs (whose action tables build the target's
+        products anyway), else on every pair of a subgroup of order at most
+        1000, else on sampled pairs."""
         endo = self._endo
-        if max(subgroup.order, target.order) ** 2 <= ENUMERATION_CAP:
+        if self.tabulable and subgroup.order * target.order > VALIDATION_TRIPLES:
             S, G = subgroup.table, target.table
             # e[s]: the target index of the image of subgroup element s
             e = np.array([G.index[endo[h]] for h in S.elements], dtype=np.intp)

@@ -40,7 +40,7 @@ class FiniteGroup:
 
     Subclasses implement ``compose_p``, ``invert_p``, ``identity_p``,
     ``order``, ``payload_len`` and ``_enumerate_p``. A subclass that
-    overrides ``sample_p`` overrides ``_draw_plan`` to match it.
+    overrides ``sample_p`` overrides ``_draw_index`` to match it.
     """
 
     tag: str
@@ -87,19 +87,12 @@ class FiniteGroup:
     def sample_p(self, rng: Random) -> bytes:
         return self.elements_p()[self._draw_index(rng)]
 
-    def _draw_plan(self) -> tuple[tuple[int, ...], Sequence[int] | None]:
-        """How ``sample_p`` consumes the RNG: the bounds of its successive
-        ``_randbelow`` calls (their product is the order), and the element
-        index for each mixed-radix code of their results (None where the
-        code is the index). Here one call, ``randrange(order)``, picks the
-        index into the canonical enumeration."""
-        return (self.order,), None
-
     @functools.cached_property
     def _draw_index(self) -> Callable[[Random], int]:
         """``_draw_index(rng)``: the index of the element ``sample_p(rng)``
-        returns, drawing from rng exactly as ``sample_p`` does."""
-        return _rejection_draw(*self._draw_plan())
+        returns, drawing from rng exactly as ``sample_p`` does. Here that is
+        ``randrange(order)``, an index into the canonical enumeration."""
+        return _rejection_draw((self.order,))
 
     def _mul_table(self) -> np.ndarray:
         els, index, compose = self.elements_p(), self._index_map(), self.compose_p
@@ -218,14 +211,14 @@ class SymmetricGroup(_PermBase):
         rng.shuffle(images)
         return bytes(images)
 
-    def _draw_plan(self):
+    @functools.cached_property
+    def _draw_index(self):
         # the _randbelow choices Random.shuffle makes in sample_p
-        return tuple(range(self.degree, 1, -1)), self._shuffle_order
+        return _rejection_draw(tuple(range(self.degree, 1, -1)), self._shuffle_order)
 
     @functools.cached_property
     def _shuffle_order(self) -> list[int]:
-        """The element index sample_p returns for each code of its shuffle's
-        choices."""
+        """The element index sample_p returns for each code of _draw_index."""
         m, index = self.degree, self._index_map()
         order = []
         for choices in itertools.product(*(range(i + 1) for i in range(m - 1, 0, -1))):
@@ -482,8 +475,9 @@ class OppositeGroup(FiniteGroup):
     def sample_p(self, rng):
         return self.base.sample_p(rng)
 
-    def _draw_plan(self):
-        return self.base._draw_plan()
+    @functools.cached_property
+    def _draw_index(self):
+        return self.base._draw_index  # sample_p is the base group's too
 
     def _mul_table(self):
         return self.base.table.mul.T
@@ -530,18 +524,10 @@ class ProductGroup(FiniteGroup):
     def sample_p(self, rng):
         return self.left.sample_p(rng) + self.right.sample_p(rng)
 
-    def _draw_plan(self):
-        # the left factor's draws, then the right's; the pair (a, b) has
-        # index a * |right| + b, and so has the pair of codes when neither
-        # factor maps its codes
-        (left, left_order), (right, right_order) = (
-            f._draw_plan() for f in (self.left, self.right))
-        if left_order is None and right_order is None:
-            return left + right, None
-        left_order = left_order or range(self.left.order)
-        right_order = right_order or range(self.right.order)
-        nr = self.right.order
-        return left + right, [a * nr + b for a in left_order for b in right_order]
+    @functools.cached_property
+    def _draw_index(self):
+        left, right, nr = self.left._draw_index, self.right._draw_index, self.right.order
+        return lambda rng: left(rng) * nr + right(rng)
 
     def _mul_table(self):
         # (a, b)(c, d) = (ac, bd); the pair (a, b) has index a * |right| + b,
@@ -555,25 +541,13 @@ class ProductGroup(FiniteGroup):
 # -- integer tables -------------------------------------------------------------
 
 
-def _rejection_draw(bounds: tuple[int, ...], order: Sequence[int] | None
+def _rejection_draw(bounds: tuple[int, ...], order: Sequence[int] | None = None
                     ) -> Callable[[Random], int]:
     """A draw consuming a ``random.Random`` as ``_randbelow(n)`` does for
     each bound n in turn: CPython's rejection loop over ``getrandbits`` of
     n's bit length. The results are read as one mixed-radix number, mapped
     through ``order`` when given. No ``randrange``, ``_randbelow`` or
     ``shuffle`` call is made."""
-    if len(bounds) == 1 and order is None:
-        (n,) = bounds
-        k = n.bit_length()
-
-        def draw(rng: Random) -> int:
-            getrandbits = rng.getrandbits
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return r
-
-        return draw
     steps = tuple((n, n.bit_length()) for n in bounds)
 
     def draw_code(rng: Random) -> int:

@@ -307,14 +307,17 @@ def test_make_platform_rejects_bad_parameters():
         )
 
 
-def test_twisted_conjugacy_rejects_a_non_multiplicative_endomorphism():
-    # transpose-inverse on GL(2,3), checked over both product tables, with
-    # the image of one element altered to the identity
-    gl = GL2Group(3)
+@pytest.mark.parametrize("p", [3, 5])
+def test_twisted_conjugacy_rejects_a_non_multiplicative_endomorphism(p):
+    # transpose-inverse on GL(2,p), with the image of one element altered to
+    # the identity: checked pair by pair on GL(2,3), whose 48^2 pairs are
+    # within VALIDATION_TRIPLES, and over both product tables on GL(2,5)
+    gl = GL2Group(p)
     shear = bytes((1, 1, 0, 1))
+    assert (gl.order ** 2 > VALIDATION_TRIPLES) == (p == 5)
 
     def transpose_inverse(a):
-        return bytes(o_mat_inv((a[0], a[2], a[1], a[3]), 3))
+        return bytes(o_mat_inv((a[0], a[2], a[1], a[3]), p))
 
     def altered(a):
         return gl.identity_p if a == shear else transpose_inverse(a)

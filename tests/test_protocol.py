@@ -348,6 +348,13 @@ def test_byte_backend_parties_reject_foreign_payloads():
                 PartyState(pf, 1, 3).receive_round3(bad)
             with pytest.raises(ForeignElementError):
                 PartyState(pf, 1, 3).receive_round4([g, bad, g])
+        for bad in h_bad:
+            # a custom pair-key source is checked too, as on the tables
+            def foreign_keys(platform, n, rng, bad=bad):
+                return [bad] * n
+
+            with pytest.raises(ForeignElementError):
+                run_session(SessionConfig(pf, 3, 5, pair_key_source=foreign_keys))
         party = PartyState(pf, 1, 3)
         party.set_secret(e)
         party.set_pair_keys(e, e)
