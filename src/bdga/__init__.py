@@ -7,7 +7,7 @@ state machine, a passive-adversary oracle harness, and a statistical
 security lab, behind a deterministic seeded CLI.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # the name of the one element-kernel implementation, stamped into benchmark runs
 KERNEL_BACKEND = "python"

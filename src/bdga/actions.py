@@ -121,6 +121,13 @@ class GroupAction:
         """The platform's element-ops backend, built on first use and kept."""
         return _IndexOps(self) if self.tabulable else _ByteOps(self)
 
+    @functools.cached_property
+    def _batch_ops(self) -> "_BatchOps":
+        """The batch backend, built on first use and kept; it needs the
+        tables, so a platform that is not tabulable raises
+        EnumerationCapError."""
+        return _BatchOps(self)
+
     # -- payload level -----------------------------------------------------
 
     def apply_p(self, h: bytes, x: bytes) -> bytes:
@@ -217,27 +224,74 @@ class GroupAction:
 # backend: draws from the two groups, products, inverses, the action, and the
 # conversions between payloads and elements. On tabulable platforms the
 # elements are indices into the platform's tables; otherwise they are the
-# payloads themselves. Both backends draw from the RNG exactly as the groups'
-# sample_p do, so a seed gives the same bytes on either.
+# payloads themselves. Both per-trial backends draw from a Random exactly as
+# the groups' sample_p do, so a seed gives the same bytes on either. A batch
+# backend runs the samplers once over whole IndexStream batches: its elements
+# are arrays of indices, one entry per trial.
 
 
-class _ByteOps:
+def _records():
+    """The record types the backends build; imported when a backend is
+    built, since their modules import this one."""
+    from .protocol import Transcript
+    from .security_lab import DdhGaTuple, DistributionSample
+
+    return Transcript, DistributionSample, DdhGaTuple
+
+
+class _TrialOps:
+    """What the two per-trial backends share: one sample per call, drawn from
+    a Random."""
+
+    platform: GroupAction
+
+    def __init__(self, platform: GroupAction):
+        self.platform = platform
+        self._transcript, self._sample, self._tuple = _records()
+
+    def pair_keys(self, source, n: int, rng: Random) -> list:
+        """n pair keys: drawn here when ``source`` is None, else the payloads
+        the source returns, checked through ``from_h``."""
+        if source is None:
+            draw = self.draw_h
+            return [draw(rng) for _ in range(n)]
+        return self.from_h(source(self.platform, n, rng))
+
+    def draw_h_outside(self, rng: Random, points: tuple):
+        """An acting element that moves the base point outside ``points``:
+        draw until one does."""
+        act, g, draw = self.act, self.g, self.draw_h
+        h = draw(rng)
+        while act(h, g) in points:
+            h = draw(rng)
+        return h
+
+    def ddh_tuple(self, x, y, z, r, kind: str):
+        act, g, wrap = self.act, self.g, self.platform.target.wrap
+        t1, t2, t3, t4 = (wrap(self.g_bytes(act(w, g))) for w in (x, y, z, r))
+        return self._tuple(t1, t2, t3, t4, kind, self.h_tuple((x, y, z, r)))
+
+    def sample(self, n: int, vs, ws, zs, sk, internals: dict):
+        g_tuple = self.g_tuple
+        transcript = self._transcript(self.platform.tag, n, g_tuple(vs), g_tuple(ws),
+                                      g_tuple(zs))
+        return self._sample(transcript, self.platform.target.wrap(self.g_bytes(sk)), internals)
+
+
+class _ByteOps(_TrialOps):
     """Element operations on payloads: the reference path, and the only one
     for platforms too large to tabulate. ``from_h`` and ``from_g`` raise
     ForeignElementError for a payload outside the group, through its
     ``contains_p``."""
 
     def __init__(self, platform: GroupAction):
+        super().__init__(platform)
         H, G = platform.acting, platform.target
-        self.platform = platform
         self.g = platform.base_p
         self.draw_h, self.draw_g = H.sample_p, G.sample_p
         self.hmul, self.hinv = H.compose_p, H.invert_p
         self.gmul, self.ginv = G.compose_p, G.invert_p
         self.act = platform.apply_p
-
-    def pair_keys(self, source, n: int, rng: Random) -> list[bytes]:
-        return self.from_h(source(self.platform, n, rng))
 
     @staticmethod
     def h_tuple(elements) -> tuple[bytes, ...]:
@@ -256,14 +310,14 @@ class _ByteOps:
         return element
 
 
-class _IndexOps:
+class _IndexOps(_TrialOps):
     """Element operations on indices, over the platform's tables. ``from_h``
     and ``from_g`` raise ForeignElementError for a payload outside the group."""
 
     def __init__(self, platform: GroupAction):
+        super().__init__(platform)
         t = platform.tables
         H, G = t.H, t.G
-        self.platform = platform
         self.g = t.base
         self.draw_h, self.draw_g = H.draw, G.draw
         self._h, self._nh = H, H.order  # H's tables are built when first used
@@ -288,9 +342,6 @@ class _IndexOps:
     def act(self, h: int, x: int) -> int:
         return self._act[h * self._ng + x]
 
-    def pair_keys(self, source, n: int, rng: Random) -> list[int]:
-        return self.from_h(source(self.platform, n, rng))
-
     def h_tuple(self, elements) -> tuple[bytes, ...]:
         return tuple(map(self._h_el.__getitem__, elements))
 
@@ -305,6 +356,99 @@ class _IndexOps:
 
     def from_g(self, payloads) -> list[int]:
         return _indices(self._g_index, self.platform.target, payloads)
+
+
+class IndexStream:
+    """A batch of ``trials`` independent draws from one PCG64 stream.
+
+    Passed to a sampler in place of a ``Random``, it makes the sampler run
+    once over the whole batch (``_BatchOps``): every element is a (trials,)
+    array of table indices, and trial t is entry t of each. Each draw takes
+    the next ``integers`` block of the stream, uniform over the group's
+    indices in its table's dtype."""
+
+    def __init__(self, seed: int, trials: int):
+        self.trials = trials
+        self.generator = np.random.Generator(np.random.PCG64(seed))
+
+
+class _BatchOps:
+    """Element operations on index arrays, one entry per trial of an
+    IndexStream: the lookups of ``_IndexOps``, made by numpy over a whole
+    batch. A batch draws only the default pair keys; a pair-key source
+    returns payloads for one trial."""
+
+    def __init__(self, platform: GroupAction):
+        t = platform.tables
+        self.platform = platform
+        self.g = t.base
+        self._H, self._G, self._act = t.H, t.G, t.act
+        self._tuple = _records()[2]
+
+    def draw_h(self, stream: IndexStream, rows=None) -> np.ndarray:
+        """One uniform index per trial, or per entry of ``rows`` when given."""
+        return self._draw(stream, self._H, rows)
+
+    def draw_g(self, stream: IndexStream, rows=None) -> np.ndarray:
+        return self._draw(stream, self._G, rows)
+
+    @staticmethod
+    def _draw(stream: IndexStream, table: GroupTable, rows) -> np.ndarray:
+        size = stream.trials if rows is None else len(rows)
+        return stream.generator.integers(table.order, size=size, dtype=table.dtype)
+
+    def act(self, h, x) -> np.ndarray:
+        return self._act[h, x]
+
+    def hmul(self, a, b) -> np.ndarray:
+        return self._H.mul[a, b]
+
+    def hinv(self, a) -> np.ndarray:
+        return np.asarray(self._H.inv)[a]
+
+    def gmul(self, a, b) -> np.ndarray:
+        return self._G.mul[a, b]
+
+    def ginv(self, a) -> np.ndarray:
+        return np.asarray(self._G.inv)[a]
+
+    def pair_keys(self, source, n: int, stream: IndexStream) -> list[np.ndarray]:
+        if source is not None:
+            raise ValueError("a batch draws the default pair keys only")
+        return [self.draw_h(stream) for _ in range(n)]
+
+    @staticmethod
+    def from_h(elements) -> list[np.ndarray]:
+        elements = list(elements)
+        if not all(isinstance(e, np.ndarray) for e in elements):
+            raise ForeignElementError("a batch takes index arrays, not payloads")
+        return elements
+
+    h_tuple = g_tuple = staticmethod(tuple)
+
+    def draw_h_outside(self, stream: IndexStream, points: tuple) -> np.ndarray:
+        """Per trial, an acting element that moves the base point outside
+        that trial's ``points``: the rejected entries are redrawn, in trial
+        order, until none is left."""
+        a, b = points
+        act, g = self._act, self.g
+        h = self.draw_h(stream)
+        image = act[h, g]
+        rows = np.flatnonzero((image == a) | (image == b))
+        while rows.size:
+            h[rows] = self.draw_h(stream, rows)
+            image = act[h[rows], g]
+            rows = rows[(image == a[rows]) | (image == b[rows])]
+        return h
+
+    def ddh_tuple(self, x, y, z, r, kind: str):
+        act, g = self._act, self.g
+        return self._tuple(*(act[w, g] for w in (x, y, z, r)), kind, (x, y, z, r))
+
+    @staticmethod
+    def sample(n: int, vs, ws, zs, sk, internals: dict) -> np.ndarray:
+        """The batch's (trials, 3n + 1) index rows: v, w, Z, then the key."""
+        return np.stack([*vs, *ws, *zs, sk], axis=1)
 
 
 def _foreign(group: FiniteGroup, payload: bytes) -> ForeignElementError:
@@ -326,10 +470,13 @@ def _members(group: FiniteGroup, payloads) -> list[bytes]:
     return payloads
 
 
-def _ops(platform: GroupAction) -> _ByteOps | _IndexOps:
-    """The element-ops backend the samplers and the protocol run on: the
-    platform's own, kept on it. Tests replace this function to drive both
-    modules on the byte backend."""
+def _ops(platform: GroupAction, rng=None) -> _ByteOps | _IndexOps | _BatchOps:
+    """The element-ops backend the samplers and the protocol run on, kept on
+    the platform: its batch backend for an IndexStream ``rng``, else its
+    own. Tests replace this function to drive both modules on another
+    backend."""
+    if isinstance(rng, IndexStream):
+        return platform._batch_ops
     return platform._element_ops
 
 

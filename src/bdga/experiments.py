@@ -4,6 +4,8 @@ key-conditional uniformity check, and a toy-parameter break demonstration.
 Each suite returns a JSON-able result dict embedding its manifest (name,
 platform, regime, trials, seed) plus the statistic, interval, tolerance and
 pass flag, so a written report reproduces bit-exactly from its own fields.
+The four TV suites draw each side as one batch of index rows from a PCG64
+stream seeded by (seed, side) and bucket the rows by a 64-bucket hash.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .harness import OracleEnv, derive_seed, estimate_advantage
 from .platforms import preset
 from .protocol import oracle_key
 from .security_lab import (
+    Batched,
     DistanceEstimate,
     conditional_is_uniform,
     exact_key_conditional,
@@ -77,7 +80,7 @@ def _tv_suite(
     slack: float = 0.0,
     **extras,
 ) -> dict:
-    est = tv_distance(sampler_a, sampler_b, trials, hash_partition(64), seed)
+    est = tv_distance(Batched(sampler_a), Batched(sampler_b), trials, hash_partition(64), seed)
     tol = tolerance + slack
     manifest = _manifest(name, platform, trials, seed, s=s, n=hybrid_regime(s))
     return _result(manifest, est, est.statistic, tol, est.statistic <= tol,
@@ -87,10 +90,10 @@ def _tv_suite(
 def real_vs_distprime_dh(platform, s, trials, seed, tolerance=DEFAULT_TOLERANCE) -> dict:
     n = hybrid_regime(s)
 
-    def a(rng: Random):
+    def a(rng):
         return sample_real(platform, n, rng)
 
-    def b(rng: Random):
+    def b(rng):
         return sample_dist_prime(platform, s, sample_ddh_ga(platform, rng, "dh_shaped"), rng)
 
     return _tv_suite("real_vs_distprime_dh", platform, s, trials, seed, tolerance, a, b)
@@ -100,10 +103,10 @@ def fakeprime_vs_distprime_rand(platform, s, trials, seed, tolerance=DEFAULT_TOL
     # the two sides agree only up to |H_g|/|H|; that slack widens the tolerance
     slack = len(platform.base_stabilizer_p()) / platform.acting.order
 
-    def a(rng: Random):
+    def a(rng):
         return sample_fake_prime(platform, s, rng)
 
-    def b(rng: Random):
+    def b(rng):
         return sample_dist_prime(
             platform, s, sample_ddh_ga(platform, rng, "random_excluded"), rng
         )
@@ -114,10 +117,10 @@ def fakeprime_vs_distprime_rand(platform, s, trials, seed, tolerance=DEFAULT_TOL
 
 def fakeprime_vs_dist_dh(platform, s, trials, seed, tolerance=DEFAULT_TOLERANCE,
                          closing_link="r") -> dict:
-    def a(rng: Random):
+    def a(rng):
         return sample_fake_prime(platform, s, rng)
 
-    def b(rng: Random):
+    def b(rng):
         return sample_dist(platform, s, sample_ddh_ga(platform, rng, "dh_shaped"), rng,
                            closing_link=closing_link)
 
@@ -129,10 +132,10 @@ def fake_vs_dist_rand(platform, s, trials, seed, tolerance=DEFAULT_TOLERANCE,
                       closing_link="r") -> dict:
     n = hybrid_regime(s)
 
-    def a(rng: Random):
+    def a(rng):
         return sample_fake(platform, n, rng)
 
-    def b(rng: Random):
+    def b(rng):
         return sample_dist(platform, s, sample_ddh_ga(platform, rng, "random_excluded"), rng,
                            closing_link=closing_link)
 

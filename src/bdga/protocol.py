@@ -230,20 +230,23 @@ PairKeySource = Callable[[GroupAction, int, Random], list[bytes]]
 
 
 def uniform_pair_keys(platform: GroupAction, n: int, rng: Random) -> list[bytes]:
-    """Default round-1 stand-in: each neighboring pair shares a fresh uniform
-    element of the acting group, drawn from the session RNG by the
-    platform's element-ops backend (the same draws as ``sample_p``)."""
+    """The default round-1 stand-in as a source: each neighboring pair shares
+    a fresh uniform element of the acting group, as payloads. A session or
+    sampler whose source is None makes the same draws, as elements of the
+    platform's backend (the same draws as ``sample_p``)."""
     ops = actions._ops(platform)
-    draw = ops.draw_h
-    return list(ops.h_tuple([draw(rng) for _ in range(n)]))
+    return list(ops.h_tuple(ops.pair_keys(None, n, rng)))
 
 
 @dataclass
 class SessionConfig:
+    """``pair_key_source`` None draws uniform pair keys (``uniform_pair_keys``'s
+    draws) directly on the platform's backend."""
+
     platform: GroupAction
     n: int
     rng_seed: int
-    pair_key_source: PairKeySource = uniform_pair_keys
+    pair_key_source: PairKeySource | None = None
 
 
 @dataclass

@@ -24,10 +24,17 @@ agree on commutative platforms only, so on non-abelian ones the shaped
 hybrids do not reproduce sample_real and sample_fake_prime exactly (ROADMAP
 item 1).
 
+Every sampler takes its randomness as ``rng``. A ``Random`` gives one
+sample, drawn exactly as the byte-level groups draw. An
+``actions.IndexStream`` gives a whole batch from one PCG64 stream, as
+(trials, 3n + 1) index rows of (v, w, Z, key) over the platform's tables.
+
 ``tv_distance`` estimates the total-variation distance between two samplers
-over a finite bucket partition (a sound lower bound on the true distance),
-and ``exact_key_conditional`` computes, by exhaustive enumeration, the exact
-conditional distribution of the key given a fake transcript.
+over a finite bucket partition (a sound lower bound on the true distance).
+The TV suites draw each side as one batch (``Batched``) and hash the rows;
+any other sampler is drawn one trial at a time. ``exact_key_conditional``
+computes, by exhaustive enumeration, the exact conditional distribution of
+the key given a fake transcript.
 """
 
 from __future__ import annotations
@@ -41,11 +48,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import actions
-from .actions import GroupAction
+from .actions import GroupAction, IndexStream
 from .errors import DegenerateExclusionError, RegimeError
 from .groups import FiniteGroup, GroupElement
 from .harness import derive_seed
-from .protocol import PairKeySource, Transcript, uniform_pair_keys
+from .protocol import PairKeySource, Transcript
+
+# a sampler's randomness: a Random for one sample, an IndexStream for a batch
+Rng = Random | IndexStream
 
 
 # -- challenge tuples -----------------------------------------------------------
@@ -58,6 +68,8 @@ class DdhGaTuple:
     For kind "dh_shaped", z = y.x and r = x.y; for kind "random_excluded",
     z and r are uniform outside the stabilizer cosets of those two products.
     The acting-group witness rides along for the samplers that embed it.
+    Drawn from an IndexStream, each field holds (trials,) index arrays
+    instead: the tuples of a whole batch.
     """
 
     t1: GroupElement
@@ -82,32 +94,30 @@ def coset(
     )
 
 
-# Each sampler is written once over the platform's element-ops backend
-# (``actions._ops``): indices into its tables on tabulable platforms, payloads
-# otherwise, with the same RNG draws and the same bytes out.
-
-
-def _ddh_tuple(ops, x, y, z, r, kind: str) -> DdhGaTuple:
-    act, g, wrap_t = ops.act, ops.g, ops.platform.target.wrap
-    t1, t2, t3, t4 = (wrap_t(ops.g_bytes(act(w, g))) for w in (x, y, z, r))
-    return DdhGaTuple(t1, t2, t3, t4, kind, ops.h_tuple((x, y, z, r)))
+# Each sampler is written once over an element-ops backend, picked from its
+# rng by ``actions._ops``. A Random gives the platform's own backend: indices
+# into its tables on tabulable platforms, payloads otherwise, with the same
+# RNG draws and the same bytes out, one sample per call. An IndexStream gives
+# the batch backend: one call draws every trial of the stream and returns
+# the (trials, 3n + 1) index rows of (v, w, Z, key), and a challenge tuple
+# holds index arrays.
 
 
 def ddh_from_witness(
     platform: GroupAction, x: bytes, y: bytes, z: bytes, r: bytes, kind: str
 ) -> DdhGaTuple:
-    return _ddh_tuple(actions._ByteOps(platform), x, y, z, r, kind)
+    return actions._ByteOps(platform).ddh_tuple(x, y, z, r, kind)
 
 
-def sample_ddh_ga(platform: GroupAction, rng: Random, kind: str) -> DdhGaTuple:
-    ops = actions._ops(platform)
+def sample_ddh_ga(platform: GroupAction, rng: Rng, kind: str) -> DdhGaTuple:
+    ops = actions._ops(platform, rng)
     draw_h, hmul = ops.draw_h, ops.hmul
     x = draw_h(rng)
     y = draw_h(rng)
     yx = hmul(y, x)
     xy = hmul(x, y)
     if kind == "dh_shaped":
-        return _ddh_tuple(ops, x, y, yx, xy, kind)
+        return ops.ddh_tuple(x, y, yx, xy, kind)
     if kind != "random_excluded":
         raise ValueError(f"unknown tuple kind {kind!r}")
     stab = platform.base_stabilizer_p()
@@ -118,15 +128,10 @@ def sample_ddh_ga(platform: GroupAction, rng: Random, kind: str) -> DdhGaTuple:
             f"2*{len(stab)} >= {H.order}"
         )
     # z lies in yx . Stab or xy . Stab iff it moves g to the same point.
-    act, g = ops.act, ops.g
-    excluded = {act(yx, g), act(xy, g)}
-    z = draw_h(rng)
-    while act(z, g) in excluded:
-        z = draw_h(rng)
-    r = draw_h(rng)
-    while act(r, g) in excluded:
-        r = draw_h(rng)
-    return _ddh_tuple(ops, x, y, z, r, kind)
+    excluded = (ops.act(yx, ops.g), ops.act(xy, ops.g))
+    z = ops.draw_h_outside(rng, excluded)
+    r = ops.draw_h_outside(rng, excluded)
+    return ops.ddh_tuple(x, y, z, r, kind)
 
 
 # -- distribution samples --------------------------------------------------------
@@ -145,9 +150,10 @@ class DistributionSample:
 
 
 def _assemble(ops, n: int, vs: Sequence, links: Sequence, cs: Sequence,
-              internals: dict) -> DistributionSample:
+              internals: dict) -> DistributionSample | np.ndarray:
     """Common tail of every sampler: w's from the links and pair keys, the
-    broadcast differences, the transcript, and the ordered-product key.
+    broadcast differences and the ordered-product key, packaged by the
+    backend (a DistributionSample, or a batch's index rows).
 
     ``links[0]`` is the closing link (indices 1 back to n); ``links[k]`` for
     k >= 1 is the link from party k to party k+1.
@@ -158,21 +164,19 @@ def _assemble(ops, n: int, vs: Sequence, links: Sequence, cs: Sequence,
     sk = links[0]
     for link in links[1:]:
         sk = gmul(sk, link)
-    platform, g_tuple = ops.platform, ops.g_tuple
-    transcript = Transcript(platform.tag, n, g_tuple(vs), g_tuple(ws), g_tuple(zs))
-    internals["links"] = g_tuple(links)
+    internals["links"] = ops.g_tuple(links)
     internals["c"] = ops.h_tuple(cs)
-    return DistributionSample(transcript, platform.target.wrap(ops.g_bytes(sk)), internals)
+    return ops.sample(n, vs, ws, zs, sk, internals)
 
 
 def sample_real(
-    platform: GroupAction, n: int, rng: Random, pair_keys: PairKeySource = uniform_pair_keys
-) -> DistributionSample:
+    platform: GroupAction, n: int, rng: Rng, pair_keys: PairKeySource | None = None
+) -> DistributionSample | np.ndarray:
     """Honest run: same draw order as ``run_session``, so equal seeds give
     byte-identical transcripts and keys."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
-    ops = actions._ops(platform)
+    ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     hs = [draw_h(rng) for _ in range(n)]
     cs = ops.pair_keys(pair_keys, n, rng)
@@ -202,12 +206,12 @@ def _randomized_indices(s: int) -> tuple[int, ...]:
 
 
 def sample_fake_prime(
-    platform: GroupAction, s: int, rng: Random, pair_keys: PairKeySource = uniform_pair_keys
-) -> DistributionSample:
+    platform: GroupAction, s: int, rng: Rng, pair_keys: PairKeySource | None = None
+) -> DistributionSample | np.ndarray:
     """Honest secrets and v's, but the links at the randomized positions are
     fresh uniform target elements."""
     n = hybrid_regime(s)
-    ops = actions._ops(platform)
+    ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     hs = [draw_h(rng) for _ in range(n)]
     cs = ops.pair_keys(pair_keys, n, rng)
@@ -221,12 +225,12 @@ def sample_fake_prime(
 
 
 def sample_fake(
-    platform: GroupAction, n: int, rng: Random, pair_keys: PairKeySource = uniform_pair_keys
-) -> DistributionSample:
+    platform: GroupAction, n: int, rng: Rng, pair_keys: PairKeySource | None = None
+) -> DistributionSample | np.ndarray:
     """Every link uniform; only the v's are tied to the drawn secrets."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
-    ops = actions._ops(platform)
+    ops = actions._ops(platform, rng)
     draw_h, draw_g, act, g = ops.draw_h, ops.draw_g, ops.act, ops.g
     hs = [draw_h(rng) for _ in range(n)]
     cs = ops.pair_keys(pair_keys, n, rng)
@@ -240,9 +244,9 @@ def sample_dist_prime(
     platform: GroupAction,
     s: int,
     tup: DdhGaTuple,
-    rng: Random,
-    pair_keys: PairKeySource = uniform_pair_keys,
-) -> DistributionSample:
+    rng: Rng,
+    pair_keys: PairKeySource | None = None,
+) -> DistributionSample | np.ndarray:
     """Embed the challenge tuple across every third link. The per-slot
     effective secrets are recorded in internals["s"]; with a shaped tuple
     the link from party k to k+1 is apply(s_{k+1} . s_k, g) for k = 1..n-1
@@ -250,7 +254,7 @@ def sample_dist_prime(
     apply(s_1 . s_n, g) reversed, so the two differ on non-abelian
     platforms (ROADMAP item 1)."""
     n = hybrid_regime(s)
-    ops = actions._ops(platform)
+    ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     x, y, z, r = ops.from_h(tup.witness)
     b0 = draw_h(rng)
@@ -301,10 +305,10 @@ def sample_dist(
     platform: GroupAction,
     s: int,
     tup: DdhGaTuple,
-    rng: Random,
-    pair_keys: PairKeySource = uniform_pair_keys,
+    rng: Rng,
+    pair_keys: PairKeySource | None = None,
     closing_link: str = "r",
-) -> DistributionSample:
+) -> DistributionSample | np.ndarray:
     """One hybrid later: the positions randomized in fake_prime are drawn
     uniformly here, and the challenge tuple feeds the remaining links. The
     closing link composes the witness element named by ``closing_link``
@@ -316,7 +320,7 @@ def sample_dist(
     if closing_link not in ("r", "z"):
         raise ValueError("closing_link must be 'r' or 'z'")
     n = hybrid_regime(s)
-    ops = actions._ops(platform)
+    ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     x, y, z, r = ops.from_h(tup.witness)
     h1 = draw_h(rng)
@@ -364,20 +368,59 @@ def sample_dist(
 
 @dataclass(frozen=True)
 class Partition:
+    """``assign`` buckets one sample; ``assign_rows``, where given, buckets a
+    batch's index rows at once (for ``Batched`` samplers)."""
+
     label: str
     buckets: int
     assign: Callable[[DistributionSample], int]
+    assign_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, sample: DistributionSample) -> int:
-        return self.assign(sample)
+    def __call__(self, sample: DistributionSample | np.ndarray) -> int | np.ndarray:
+        """The bucket of one sample, or the buckets of a batch's rows."""
+        if not isinstance(sample, np.ndarray):
+            return self.assign(sample)
+        if self.assign_rows is None:
+            raise ValueError(f"partition {self.label} cannot bucket index rows")
+        return self.assign_rows(sample)
+
+
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise (uint64 products wrap)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash_rows(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per index row. Fixed-width encoding: each index as a
+    16-bit little-endian field (a tabulable group has at most 1000
+    elements), four to a 64-bit word, zero-padded; the words are folded in
+    order through the splitmix64 finalizer, starting from the row width."""
+    trials, width = rows.shape
+    fields = np.zeros((trials, -(-width // 4) * 4), dtype="<u2")
+    fields[:, :width] = rows
+    h = np.full(trials, width, dtype=np.uint64)
+    for word in fields.view("<u8").T:
+        h = _mix64((h + _GOLDEN) ^ word)
+    return h
 
 
 def hash_partition(buckets: int = 64) -> Partition:
+    """A generic hash of the whole sample: sha256 of its canonical bytes per
+    sample, ``_hash_rows`` per batch row."""
     def assign(sample: DistributionSample) -> int:
         digest = hashlib.sha256(sample.canonical_bytes()).digest()
         return int.from_bytes(digest[:8], "big") % buckets
 
-    return Partition(f"hash{buckets}", buckets, assign)
+    def assign_rows(rows: np.ndarray) -> np.ndarray:
+        return (_hash_rows(rows) % np.uint64(buckets)).astype(np.intp)
+
+    return Partition(f"hash{buckets}", buckets, assign, assign_rows)
 
 
 def element_value_partition(platform: GroupAction, field: str, index: int,
@@ -428,24 +471,40 @@ class DistanceEstimate:
 Sampler = Callable[[Random], DistributionSample]
 
 
+@dataclass(frozen=True)
+class Batched:
+    """A sampler that draws a whole side at once: called with an
+    IndexStream, ``draw`` returns that side's index rows (every sampler
+    above does, through the batch backend)."""
+
+    draw: Callable[[IndexStream], np.ndarray]
+
+
 def tv_distance(
-    sampler_a: Sampler,
-    sampler_b: Sampler,
+    sampler_a: Sampler | Batched,
+    sampler_b: Sampler | Batched,
     trials: int,
     partition: Partition,
     seed: int,
     bootstrap_reps: int = 200,
 ) -> DistanceEstimate:
     """Half the L1 distance between the two empirical bucket distributions,
-    with a bootstrap 95% interval. Each trial uses its own derived RNG stream
-    so trials are order-independent. Calibrated for >= 10^3 trials and <= 64
-    buckets; the expected noise floor for identical samplers is about
-    0.57 * sqrt(buckets / trials)."""
+    with a bootstrap 95% interval. A plain sampler is called once per trial,
+    each with its own derived RNG stream (Random(derive_seed(seed, side,
+    t))), so trials are order-independent. A ``Batched`` sampler draws its
+    side's trials at once from one IndexStream seeded by derive_seed(seed,
+    side), bucketed by the partition's ``assign_rows``. Calibrated for >=
+    10^3 trials and <= 64 buckets; the expected noise floor for identical
+    samplers is about 0.57 * sqrt(buckets / trials)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = np.zeros((2, partition.buckets), dtype=np.int64)
     for side, sampler in ((0, sampler_a), (1, sampler_b)):
         label = "a" if side == 0 else "b"
+        if isinstance(sampler, Batched):
+            rows = sampler.draw(IndexStream(derive_seed(seed, label), trials))
+            counts[side] = np.bincount(partition(rows), minlength=partition.buckets)
+            continue
         for t in range(trials):
             sample = sampler(Random(derive_seed(seed, label, t)))
             counts[side, partition(sample)] += 1

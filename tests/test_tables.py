@@ -26,7 +26,7 @@ from bdga.groups import (
     generated_perm_group,
 )
 from bdga.harness import derive_seed
-from bdga.platforms import PRESET_NAMES, preset
+from bdga.platforms import PRESET_NAMES, make_platform, preset
 from bdga.protocol import (
     PartyState,
     SessionConfig,
@@ -38,6 +38,11 @@ from bdga.protocol import (
 SEEDS = range(200)
 
 
+def byte_ops(platform, rng=None):
+    """A stand-in for ``actions._ops`` that forces the byte backend."""
+    return actions._ByteOps(platform)
+
+
 def reversed_pair_keys(platform, n, rng):
     """A custom source: uniform keys, handed out in reverse draw order."""
     return [platform.acting.sample_p(rng) for _ in range(n)][::-1]
@@ -45,11 +50,11 @@ def reversed_pair_keys(platform, n, rng):
 
 def draw_script(pf, seed):
     """Every sampler and both tuple kinds on one RNG: (label, value, RNG
-    state after the draw) per draw. Even seeds use the default pair-key
-    source, odd seeds a custom one."""
+    state after the draw) per draw. The seeds take turns: pair keys drawn
+    by the backend (no source), ``uniform_pair_keys``, and a custom source."""
     lab = security_lab
     rng = Random(derive_seed(seed, "tables"))
-    keys = uniform_pair_keys if seed % 2 == 0 else reversed_pair_keys
+    keys = (None, uniform_pair_keys, reversed_pair_keys)[seed % 3]
     n = 3 + seed % 4
     out = []
 
@@ -80,7 +85,7 @@ def test_samplers_on_tables_match_bytes(name, monkeypatch):
     assert pf.tabulable
     on_tables = [draw_script(pf, seed) for seed in SEEDS]
     with monkeypatch.context() as m:
-        m.setattr(actions, "_ops", actions._ByteOps)
+        m.setattr(actions, "_ops", byte_ops)
         on_bytes = [draw_script(pf, seed) for seed in SEEDS]
     for seed, (got, want) in enumerate(zip(on_tables, on_bytes)):
         assert len(got) == len(want)
@@ -177,9 +182,32 @@ def test_uniform_pair_keys_match_on_both_backends(name, monkeypatch):
 
     on_tables = keys_script()
     with monkeypatch.context() as m:
-        m.setattr(actions, "_ops", actions._ByteOps)
+        m.setattr(actions, "_ops", byte_ops)
         on_bytes = keys_script()
     assert on_tables == on_bytes
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "s10_conj", "bd_modp_100043"])
+def test_default_pair_keys_are_uniform_pair_keys(name):
+    """No pair-key source draws what ``uniform_pair_keys`` draws, on both
+    backends: the same samples, sessions and RNG states."""
+    if name == "s10_conj":
+        pf = make_platform("conjugation", family="perm", degree=10, group="full",
+                           subgroup="group", base=[2, 3, 4, 5, 6, 7, 8, 9, 10, 1])
+    elif name == "bd_modp_100043":
+        pf = make_platform("bd_modp", p=200087, g=4, q=100043)
+    else:
+        pf = preset(name)
+    for seed in range(20):
+        got, want = Random(seed), Random(seed)
+        for draw in (lambda rng, *k: security_lab.sample_real(pf, 5, rng, *k),
+                     lambda rng, *k: security_lab.sample_fake_prime(pf, 1, rng, *k)):
+            a, b = draw(got), draw(want, uniform_pair_keys)
+            assert (a.transcript, a.key, a.internals) == (b.transcript, b.key, b.internals)
+            assert got.getstate() == want.getstate()
+        a = run_session(SessionConfig(pf, 4, seed))
+        b = run_session(SessionConfig(pf, 4, seed, uniform_pair_keys))
+        assert (a.transcript, a.keys, a.internals) == (b.transcript, b.keys, b.internals)
 
 
 def test_group_tables_match_compose_and_invert():
@@ -201,7 +229,7 @@ def drive_parties(config):
     pf, n = config.platform, config.n
     rng = Random(config.rng_seed)
     secrets = [pf.acting.sample_p(rng) for _ in range(n)]
-    cs = config.pair_key_source(pf, n, rng)
+    cs = (config.pair_key_source or uniform_pair_keys)(pf, n, rng)
     parties = [PartyState(pf, i + 1, n) for i in range(n)]
     for i, p in enumerate(parties):
         p.set_pair_keys(cs[i - 1], cs[i])
@@ -223,10 +251,11 @@ def drive_parties(config):
 
 def session_script(pf):
     """run_session and a hand-driven session at n = 3..12 over 100 seeds,
-    each with the default and a custom pair-key source."""
+    each with the default pair keys, ``uniform_pair_keys`` and a custom
+    pair-key source."""
     out = []
     for seed in range(100):
-        for source in (uniform_pair_keys, reversed_pair_keys):
+        for source in (None, uniform_pair_keys, reversed_pair_keys):
             config = SessionConfig(pf, 3 + seed % 10, derive_seed(seed, "session"), source)
             res = run_session(config)
             out.append((res.transcript, res.keys, res.records, res.internals))
@@ -240,9 +269,9 @@ def test_sessions_on_tables_match_bytes(name, monkeypatch):
     assert isinstance(actions._ops(pf), actions._IndexOps)
     on_tables = session_script(pf)
     with monkeypatch.context() as m:
-        m.setattr(actions, "_ops", actions._ByteOps)
+        m.setattr(actions, "_ops", byte_ops)
         on_bytes = session_script(pf)
-    assert len(on_tables) == len(on_bytes) == 400
+    assert len(on_tables) == len(on_bytes) == 600
     for i, (got, want) in enumerate(zip(on_tables, on_bytes)):
         assert got == want, (name, i)
     for res, hand in zip(on_tables[::2], on_tables[1::2]):
