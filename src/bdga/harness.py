@@ -66,6 +66,7 @@ class OracleEnv:
             if rec is not None and rec.used:
                 raise InstanceReusedError(f"instance {key} was already used")
             seen.add(key)
+        pid = tuple(f"{u}#{i}" for u, i in instances)
         session_seed = self.rng.getrandbits(63)
         result = run_session(SessionConfig(self.platform, len(instances), session_seed))
         self.q_ex += 1
@@ -73,7 +74,7 @@ class OracleEnv:
             if self.fake_keys:
                 sk = self.platform.target.sample(self.rng)
             self._records[tuple(key)] = SessionRecord(
-                pid=tuple(f"{u}#{i}" for u, i in instances),
+                pid=pid,
                 sid=record.sid,
                 sk=sk,
                 acc=True,

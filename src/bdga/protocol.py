@@ -13,6 +13,11 @@ its right neighbor. Messages:
 
 The session key is an ordered product of ladder values; every party computes
 the same group element.
+
+Each round is one function over elements of the platform's element-ops
+backend (``actions._ops``). ``run_session`` calls them for all parties in one
+pass; ``PartyState`` calls them for one party, behind its payload boundary
+and its write-once, round-order checks.
 """
 
 from __future__ import annotations
@@ -91,8 +96,9 @@ class PartyState:
 
     The methods take and return payloads. Inside, the fields hold elements
     of the platform's element-ops backend (table indices on tabulable
-    platforms), converted at each method's boundary; ``run_session`` drives
-    the element-level steps (``_write_once``, ``_round2`` ...) directly.
+    platforms), converted at each method's boundary. The rounds themselves
+    are the module's round functions, the ones ``run_session`` runs over
+    every party at once.
     """
 
     def __init__(self, platform: GroupAction, index: int, n: int):
@@ -153,37 +159,47 @@ class PartyState:
     # -- round outputs ---------------------------------------------------------
 
     def round2_message(self) -> bytes:
-        return self._ops.g_bytes(self._round2())
+        ops = self._ops
+        return ops.g_bytes(_round2(ops, self._need("secret")))
 
     def round3_message(self) -> bytes:
-        return self._ops.g_bytes(self._round3())
+        ops, need = self._ops, self._need
+        return ops.g_bytes(_round3(ops, need("c_left"), need("secret"), need("v_prev")))
 
     def round4_values(self) -> tuple[bytes, bytes, bytes]:
-        return self._ops.g_tuple(self._round4())
+        ops, need = self._ops, self._need
+        x, y, z = _round4(ops, need("secret"), need("v_prev"), need("c_right"), need("w_next"))
+        self._write_once(x=x, y=y, z=z)
+        return ops.g_tuple((x, y, z))
 
     def compute_key(self) -> bytes:
         ops = self._ops
-        ladder = _ladder(ops.gmul, self._need("x"), self._need("z_all"), self.index)
-        # 1..n rotated back by index - 1: cycle_step applied index - 1 times
-        return ops.g_bytes(functools.reduce(ops.gmul, _rotated(ladder, 1 - self.index)))
+        return ops.g_bytes(_party_key(ops, self._need("x"), self._need("z_all"), self.index))
 
-    # -- the same rounds on backend elements -------------------------------------
 
-    def _round2(self):
-        ops = self._ops
-        return ops.act(self._need("secret"), ops.g)
+# -- the rounds of the module docstring on backend elements, each written once --
 
-    def _round3(self):
-        ops = self._ops
-        return ops.act(ops.hmul(self._need("c_left"), self._need("secret")), self._need("v_prev"))
 
-    def _round4(self):
-        ops = self._ops
-        x = ops.act(self._need("secret"), self._need("v_prev"))
-        y = ops.act(ops.hinv(self._need("c_right")), self._need("w_next"))
-        z = ops.gmul(ops.ginv(x), y)
-        self._write_once(x=x, y=y, z=z)
-        return x, y, z
+def _round2(ops, h):
+    return ops.act(h, ops.g)
+
+
+def _round3(ops, c_left, h, v_prev):
+    return ops.act(ops.hmul(c_left, h), v_prev)
+
+
+def _round4(ops, h, v_prev, c_right, w_next) -> tuple:
+    x = ops.act(h, v_prev)
+    y = ops.act(ops.hinv(c_right), w_next)
+    return x, y, ops.gmul(ops.ginv(x), y)
+
+
+def _party_key(ops, x, z_all: Sequence, index: int):
+    """Party ``index``'s key from its own X_i and the n broadcasts: its ladder
+    multiplied out in the order of 1..n rotated back by index - 1 (cycle_step
+    applied index - 1 times)."""
+    ladder = _ladder(ops.gmul, x, z_all, index)
+    return functools.reduce(ops.gmul, _rotated(ladder, 1 - index))
 
 
 def _rotated(seq: Sequence, shift: int) -> Sequence:
@@ -269,7 +285,10 @@ class SessionResult:
 
 def run_session(config: SessionConfig) -> SessionResult:
     """Execute one full run over fresh parties with a deterministic schedule:
-    all of round r is delivered before any round r+1 computation starts."""
+    all of round r is delivered before any round r+1 computation starts.
+    Each round is computed for every party at once, on the platform's
+    element-ops backend; each key is computed per party, from its own X_i
+    and the broadcasts, with no ladder shared between parties."""
     platform, n = config.platform, config.n
     if n < 3:
         raise RegimeError(f"party count {n} < 3 (pair keys and the key ordering degenerate)")
@@ -280,35 +299,27 @@ def run_session(config: SessionConfig) -> SessionResult:
     if len(pair_keys) != n:
         raise ProtocolStateError(f"pair-key source produced {len(pair_keys)} keys, wanted {n}")
 
-    parties = [PartyState(platform, i + 1, n) for i in range(n)]
-    for i, party in enumerate(parties):
-        party._write_once(c_left=pair_keys[i - 1], c_right=pair_keys[i], secret=secrets[i])
+    # party i's neighbors' values: c_{i-1}, v_{i-1}, w_{i+1}
+    vs = [_round2(ops, h) for h in secrets]
+    v_prev = _rotated(vs, -1)
+    ws = [_round3(ops, c, h, v) for c, h, v in zip(_rotated(pair_keys, -1), secrets, v_prev)]
+    xs, ys, zs = zip(*(
+        _round4(ops, h, v, c, w)
+        for h, v, c, w in zip(secrets, v_prev, pair_keys, _rotated(ws, 1))
+    ))
 
-    vs = [party._round2() for party in parties]
-    for i, party in enumerate(parties):
-        party._write_once(v_prev=vs[i - 1], v_next=vs[(i + 1) % n])
-
-    ws = [party._round3() for party in parties]
-    for i, party in enumerate(parties):
-        party._write_once(w_next=ws[(i + 1) % n])
-
-    round4 = [party._round4() for party in parties]
-    zs = tuple(z for _, _, z in round4)
-    for party in parties:
-        party._write_once(z_all=zs)
-
-    g_tuple = ops.g_tuple
+    g_tuple, g_bytes, wrap_g = ops.g_tuple, ops.g_bytes, platform.target.wrap
     transcript = Transcript(platform.tag, n, g_tuple(vs), g_tuple(ws), g_tuple(zs))
     sid = transcript.sid
     pid = tuple(f"U{i + 1}" for i in range(n))
-    keys = tuple(platform.target.wrap(party.compute_key()) for party in parties)
+    keys = tuple(wrap_g(g_bytes(_party_key(ops, x, zs, i))) for i, x in enumerate(xs, 1))
     records = tuple(
         SessionRecord(pid=pid, sid=sid, sk=key, acc=True, term=True, used=True) for key in keys
     )
     internals = SessionInternals(
         secrets=ops.h_tuple(secrets),
         pair_keys=ops.h_tuple(pair_keys),
-        x=g_tuple(x for x, _, _ in round4),
-        y=g_tuple(y for _, y, _ in round4),
+        x=g_tuple(xs),
+        y=g_tuple(ys),
     )
     return SessionResult(transcript, records, keys, internals)

@@ -86,7 +86,7 @@ def test_instances_share_sid_pid_and_key():
     recs = [env.record(u, i) for u, i in TRIO]
     assert len({r.sid for r in recs}) == 1 and recs[0].sid == transcript.sid
     assert len({r.sk.payload for r in recs}) == 1
-    assert len({r.pid for r in recs}) == 1
+    assert {r.pid for r in recs} == {("U1#0", "U2#0", "U3#0")}
     assert all(r.acc and r.term and r.used for r in recs)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from bdga import actions
 from bdga.errors import ForeignElementError, ProtocolStateError, RegimeError
-from bdga.platforms import make_platform, preset
+from bdga.platforms import PRESET_NAMES, make_platform, preset
 from bdga.protocol import (
     PartyState,
     SessionConfig,
@@ -28,6 +28,16 @@ from bdga.serial import transcript_from_obj, transcript_to_obj
 
 BD = preset("bd23")
 S4 = preset("s4_conj")
+
+
+def platform_named(name):
+    """A preset, or ``bd_modp_2039``: q = 1019 units is too many to
+    tabulate, so that platform runs on the byte path."""
+    if name == "bd_modp_2039":
+        pf = make_platform("bd_modp", p=2039, g=4, q=1019)
+        assert not pf.tabulable
+        return pf
+    return preset(name)
 
 
 def bd_int(payload: bytes) -> int:
@@ -240,17 +250,45 @@ def test_session_keys_agree_and_match_oracle():
 
 @pytest.mark.parametrize("name", ["s4_conj", "gl25_twist", "sl23_dcoset", "bd23", "bd_modp_2039"])
 def test_every_party_key_matches_oracle_up_to_forty_parties(name):
-    # the presets run on tables; q = 1019 units is too many to tabulate, so
-    # the last platform checks the byte path
-    if name == "bd_modp_2039":
-        pf = make_platform("bd_modp", p=2039, g=4, q=1019)
-        assert not pf.tabulable
-    else:
-        pf = preset(name)
+    pf = platform_named(name)
     for n in range(3, 41):
         res = run_session(SessionConfig(pf, n, 1000 + n))
         expected = oracle_key(pf, res.internals.secrets)
         assert all(key == expected for key in res.keys)
+
+
+def drive_party_states(pf, n, secrets, pair_keys):
+    """n PartyStates driven by hand through the payload API on the given
+    secrets and pair keys: (v, w, Z, keys, X, Y) as payloads."""
+    parties = [PartyState(pf, i + 1, n) for i in range(n)]
+    for i, p in enumerate(parties):
+        p.set_pair_keys(pair_keys[i - 1], pair_keys[i])
+        p.set_secret(secrets[i])
+    vs = tuple(p.round2_message() for p in parties)
+    for i, p in enumerate(parties):
+        p.receive_round2(vs[i - 1], vs[(i + 1) % n])
+    ws = tuple(p.round3_message() for p in parties)
+    for i, p in enumerate(parties):
+        p.receive_round3(ws[(i + 1) % n])
+    xs, ys, zs = zip(*(p.round4_values() for p in parties))
+    for p in parties:
+        p.receive_round4(zs)
+    keys = tuple(p.compute_key() for p in parties)
+    return vs, ws, zs, keys, xs, ys
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "bd_modp_2039"])
+def test_party_states_match_run_session(name):
+    # run_session computes whole rounds without PartyState; parties driven
+    # one by one on its secrets and pair keys must send and derive the same
+    pf = platform_named(name)
+    for n in range(3, 9):
+        res = run_session(SessionConfig(pf, n, 500 + n))
+        inner, t = res.internals, res.transcript
+        vs, ws, zs, keys, xs, ys = drive_party_states(pf, n, inner.secrets, inner.pair_keys)
+        assert (vs, ws, zs) == (t.v, t.w, t.z)
+        assert keys == tuple(key.payload for key in res.keys)
+        assert (xs, ys) == (inner.x, inner.y)
 
 
 def test_ladder_shift_relation():
@@ -392,12 +430,27 @@ def test_transcript_json_roundtrip():
     assert len(obj["v"]) == len(obj["w"]) == len(obj["Z"]) == 4
 
 
-def test_transcript_sid_regression():
-    # golden value guards the canonical byte layout across refactors
-    res = run_session(SessionConfig(BD, 3, 7))
-    assert res.transcript.sid == (
-        "99e8db9375904990fb03774c838b20bdab482290c7c3f92290fccd81e9cfd882"
-    )
+@pytest.mark.parametrize(
+    "name,n,seed,sid,key_hex",
+    [
+        ("bd23", 3, 7, "99e8db9375904990fb03774c838b20bdab482290c7c3f92290fccd81e9cfd882", "10"),
+        ("s4_conj", 8, 11,
+         "2bbcfae353a83788352bcb26b5056289631e7675f60d06865e2266aec63b0bad", "04010302"),
+        ("gl25_twist", 5, 12,
+         "bdc1fcdd149c8ec28c968a1fb67e802a5ae3d4cfed14cf66448bca5f2427ad51", "02020402"),
+        ("sl23_dcoset", 4, 13,
+         "02cb4e46dda887f9b5962fbe9cb43ac36ea96b7c08ebe3544836c45202ba4dc2", "00010200"),
+        ("bd_modp_2039", 6, 14,
+         "887a909c37b405be1d886a37b859410bec0deb8d9bacfc0a042d79d666c9dd24", "0686"),
+    ],
+    ids=["bd23", "s4_conj", "gl25_twist", "sl23_dcoset", "bd_modp_2039"],
+)
+def test_transcript_sid_regression(name, n, seed, sid, key_hex):
+    # golden values guard the canonical byte layout, the RNG draw order and
+    # the round formulas across refactors
+    res = run_session(SessionConfig(platform_named(name), n, seed))
+    assert res.transcript.sid == sid
+    assert {key.payload.hex() for key in res.keys} == {key_hex}
 
 
 def test_transcript_has_3n_elements():
