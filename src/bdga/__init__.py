@@ -17,10 +17,8 @@ from .actions import (
     DoubleCosetAction,
     ExponentAction,
     GroupAction,
-    OrbitStabilizerReport,
     TwistedConjugacyAction,
     double_act,
-    orbit_stabilizer,
 )
 from .groups import (
     ENUMERATION_CAP,
@@ -44,7 +42,6 @@ from .protocol import (
 from .security_lab import (
     DdhGaTuple,
     DistributionSample,
-    coset,
     sample_ddh_ga,
     sample_dist,
     sample_dist_prime,
@@ -69,8 +66,6 @@ __all__ = [
     "TwistedConjugacyAction",
     "DoubleCosetAction",
     "ExponentAction",
-    "OrbitStabilizerReport",
-    "orbit_stabilizer",
     "double_act",
     "make_platform",
     "platform_from_descriptor",
@@ -87,7 +82,6 @@ __all__ = [
     "estimate_advantage",
     "DdhGaTuple",
     "DistributionSample",
-    "coset",
     "sample_ddh_ga",
     "sample_real",
     "sample_fake",

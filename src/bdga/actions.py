@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
@@ -102,7 +101,6 @@ class GroupAction:
         self.target = target
         self.base_p = base_p
         self._base_stab: frozenset[bytes] | None = None
-        self._fibers: dict[bytes, dict[bytes, tuple[bytes, ...]]] = {}
         self.descriptor: dict = {}
         self.tabulable = max(acting.order, target.order) ** 2 <= ENUMERATION_CAP
 
@@ -151,29 +149,14 @@ class GroupAction:
         xp = self.target.check(x)
         return self.target.wrap(self.apply_p(hp, xp))
 
-    def fibers_p(self, x: bytes) -> dict[bytes, tuple[bytes, ...]]:
-        """Each image apply(h, x) mapped to the acting elements h that reach
-        it, in ``acting.elements_p()`` order. The keys are the orbit of x, the
-        fiber over x itself is its stabilizer, and the fiber over any other
-        image y = apply(h0, x) is the left coset h0 . Stab_H(x).
-
-        One scan of the acting group per distinct x, memoized on the
-        platform; the returned mapping is shared, so callers must not
-        mutate it."""
-        fibers = self._fibers.get(x)
-        if fibers is None:
-            found: dict[bytes, list[bytes]] = {}
-            for h in self.acting.elements_p():
-                found.setdefault(self.apply_p(h, x), []).append(h)
-            fibers = self._fibers[x] = {y: tuple(hs) for y, hs in found.items()}
-        return fibers
-
     def orbit(self, x: GroupElement) -> frozenset[GroupElement]:
-        return frozenset(self.target.wrap(p) for p in self.fibers_p(self.target.check(x)))
+        t, xi = self.tables, self.tables.G.index[self.target.check(x)]
+        return frozenset(self.target.wrap(t.G.elements[y]) for y in np.unique(t.act[:, xi]))
 
     def stabilizer(self, x: GroupElement) -> frozenset[GroupElement]:
-        xp = self.target.check(x)
-        return frozenset(self.acting.wrap(p) for p in self.fibers_p(xp)[xp])
+        t, xi = self.tables, self.tables.G.index[self.target.check(x)]
+        fixes = t.act[:, xi] == xi
+        return frozenset(map(self.acting.wrap, itertools.compress(t.H.elements, fixes)))
 
     def base_stabilizer_p(self) -> frozenset[bytes]:
         if self._base_stab is None:
@@ -480,17 +463,6 @@ def _ops(platform: GroupAction, rng=None) -> _ByteOps | _IndexOps | _BatchOps:
     return platform._element_ops
 
 
-@dataclass(frozen=True)
-class OrbitStabilizerReport:
-    element: GroupElement
-    orbit: frozenset[GroupElement]
-    stabilizer: frozenset[GroupElement]
-
-
-def orbit_stabilizer(action: GroupAction, x: GroupElement) -> OrbitStabilizerReport:
-    return OrbitStabilizerReport(x, action.orbit(x), action.stabilizer(x))
-
-
 # -- concrete actions ------------------------------------------------------------
 
 
@@ -625,37 +597,6 @@ class TwistedConjugacyAction(GroupAction):
         return [self.target.invert_p(h) for h in hs], [self._endo[h] for h in hs]
 
 
-class LeftTranslationAction(GroupAction):
-    """x -> h x; component action of the double-coset construction."""
-
-    def __init__(self, target: FiniteGroup, subgroup: FiniteGroup, base: GroupElement,
-                 tag: str | None = None):
-        _require_subgroup(target, subgroup, "left subgroup")
-        super().__init__(
-            tag or f"lmul[{target.tag}:{subgroup.tag}]", subgroup, target, target.check(base)
-        )
-
-    def apply_p(self, h, x):
-        return self.target.compose_p(h, x)
-
-
-class RightTranslationAction(GroupAction):
-    """x -> x j; component action of the double-coset construction."""
-
-    def __init__(self, target: FiniteGroup, subgroup: FiniteGroup, base: GroupElement,
-                 tag: str | None = None):
-        _require_subgroup(target, subgroup, "right subgroup")
-        super().__init__(
-            tag or f"rmul[{target.tag}:{subgroup.tag}]",
-            subgroup.opposite(),
-            target,
-            target.check(base),
-        )
-
-    def apply_p(self, j, x):
-        return self.target.compose_p(x, j)
-
-
 class DoubleCosetAction(GroupAction):
     """x -> h x j for (h, j) in H x J; the two translation actions commute
     (interchange law), so the pair group acts on the target."""
@@ -679,8 +620,6 @@ class DoubleCosetAction(GroupAction):
         )
         self.left_sub = left_sub
         self.right_sub = right_sub
-        self.left_action = LeftTranslationAction(target, left_sub, base)
-        self.right_action = RightTranslationAction(target, right_sub, base)
         self._cut = left_sub.payload_len
         if isinstance(target, _PermBase):
             self._sandwich = kern.perm_sandwich

@@ -45,6 +45,10 @@ class TooFewInstancesError(OracleContractError, RegimeError):
     """Execute was called on fewer than the three instances a session needs."""
 
 
+class MalformedInstanceError(OracleContractError):
+    """Execute was called with an instance that is not a (user, index) pair."""
+
+
 class TestUnavailableError(OracleContractError):
     """The single allowed Test query was already consumed."""
 

@@ -226,19 +226,24 @@ def make_cheating_distinguisher(n: int = 3):
 
 def make_exhaustive_search_distinguisher(platform: GroupAction, n: int = 3,
                                          max_candidates: int = 100_000):
-    """Recovers every secret vector consistent with the public v values (their
-    fibers over the base point), recomputes the candidate keys, and guesses
-    1 iff the Test value is one of them. Near-perfect on toy parameters.
-    Raises RegimeError for n < 3 here, before any game runs: every execute
-    would fail, and an all-failed run reads as advantage 1."""
+    """Recovers every secret vector consistent with the public v values (the
+    acting elements that move the base point to each, read once from the
+    action table), recomputes the candidate keys, and guesses 1 iff the Test
+    value is one of them. Near-perfect on toy parameters. Raises RegimeError
+    for n < 3 and EnumerationCapError on a platform that is not tabulable,
+    both here, before any game runs: every execute would fail, and an
+    all-failed run reads as advantage 1."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
+    t = platform.tables
+    candidates: dict[bytes, list[bytes]] = {}
+    for h, v in zip(t.H.elements, t.act[:, t.base].tolist()):
+        candidates.setdefault(t.G.elements[v], []).append(h)
     instances = [(f"U{i + 1}", 0) for i in range(n)]
 
     def distinguisher(env: OracleEnv) -> int:
         transcript = env.execute(instances)
-        fibers = platform.fibers_p(platform.base_p)
-        candidates_per_v = [fibers.get(v, ()) for v in transcript.v]
+        candidates_per_v = [candidates.get(v, ()) for v in transcript.v]
         combos = 1
         for m in candidates_per_v:
             combos *= max(len(m), 1)

@@ -24,6 +24,7 @@ from .actions import GroupAction
 from .errors import (
     InstanceNotAcceptedError,
     InstanceReusedError,
+    MalformedInstanceError,
     OracleContractError,
     TestUnavailableError,
     TooFewInstancesError,
@@ -53,14 +54,19 @@ class OracleEnv:
     def execute(self, instances: Sequence[tuple[str, int]]) -> Transcript:
         """Run one session over the named fresh instances. Naming an instance
         twice, or one already used, raises InstanceReusedError; fewer than
-        three instances raise TooFewInstancesError. Both are raised before
-        the session runs or the environment's RNG moves."""
+        three instances raise TooFewInstancesError; an instance that is not
+        a hashable (user, index) pair, such as ("A",), 5 or (["A"], 1),
+        raises MalformedInstanceError. All three are raised before the session
+        runs, ``q_ex`` counts it or the environment's RNG moves."""
         if len(instances) < 3:
             raise TooFewInstancesError(f"a session needs >= 3 instances, got {len(instances)}")
         seen: set[tuple] = set()
         for key in instances:
-            key = tuple(key)
-            rec = self._records.get(key)
+            try:
+                user, index = key = tuple(key)
+                rec = self._records.get(key)
+            except (TypeError, ValueError):
+                raise MalformedInstanceError(f"{key!r} is not a (user, index) pair") from None
             if key in seen:
                 raise InstanceReusedError(f"instance {key} is named twice")
             if rec is not None and rec.used:

@@ -43,14 +43,14 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import actions
 from .actions import GroupAction, IndexStream
 from .errors import DegenerateExclusionError, RegimeError
-from .groups import FiniteGroup, GroupElement
+from .groups import GroupElement
 from .harness import derive_seed
 from .protocol import PairKeySource, Transcript
 
@@ -78,20 +78,6 @@ class DdhGaTuple:
     t4: GroupElement
     kind: str
     witness: tuple[bytes, bytes, bytes, bytes]
-
-
-def left_coset_p(group: FiniteGroup, h: bytes, members: Iterable[bytes]) -> frozenset[bytes]:
-    return frozenset(group.compose_p(h, s) for s in members)
-
-
-def coset(
-    group: FiniteGroup, h: GroupElement, stab: Iterable[GroupElement]
-) -> frozenset[GroupElement]:
-    """The left coset h . S of a stabilizer subgroup S inside ``group``."""
-    hp = group.check(h)
-    return frozenset(
-        group.wrap(group.compose_p(hp, group.check(s))) for s in stab
-    )
 
 
 # Each sampler is written once over an element-ops backend, picked from its
@@ -539,36 +525,10 @@ def exact_key_conditional(platform: GroupAction, sample: DistributionSample) -> 
     empty). Returns integer weights per key payload (unnormalized;
     zero-weight keys omitted), in the order of each key's first translate.
 
-    Tabulable platforms read the fiber sizes and products from their
-    tables; others scan the memoized fibers.
+    The fiber sizes and products are read from the platform's tables, so a
+    platform that is not tabulable raises EnumerationCapError.
     """
-    if platform.tabulable:
-        return _table_key_conditional(platform.tables, sample.transcript)
-    return _fiber_key_conditional(platform, sample.transcript)
-
-
-def _fiber_key_conditional(platform: GroupAction, transcript: Transcript) -> dict[bytes, int]:
-    target = platform.target
-    n = transcript.n
-    prefix = [target.identity_p]
-    for zval in transcript.z[: n - 1]:
-        prefix.append(target.compose_p(prefix[-1], zval))
-    weights: dict[bytes, int] = {}
-    for t in target.elements_p():
-        links = [target.compose_p(t, a) for a in prefix]
-        weight = 1
-        for i in range(n):
-            matches = len(platform.fibers_p(links[i]).get(transcript.w[i], ()))
-            if matches == 0:
-                weight = 0
-                break
-            weight *= matches
-        if weight:
-            sk = links[0]
-            for link in links[1:]:
-                sk = target.compose_p(sk, link)
-            weights[sk] = weights.get(sk, 0) + weight
-    return weights
+    return _table_key_conditional(platform.tables, sample.transcript)
 
 
 def _table_key_conditional(tables, transcript: Transcript) -> dict[bytes, int]:

@@ -184,16 +184,17 @@ def test_algebra_suites():
                 pf.apply_p(h, x), pf.apply_p(h, y)
             )
 
-    # interchange law, exhaustive on both shipped double-coset platforms
+    # interchange law, exhaustive on both shipped double-coset platforms: the
+    # shipped action on the pair h + j against both bracketings
     for name in ("s4_dcoset", "sl23_dcoset"):
         pf = preset(name)
-        left, right = pf.left_action, pf.right_action
-        for h in left.acting.elements_p():
-            for j in right.acting.elements_p():
-                for x in pf.target.elements_p():
-                    assert left.apply_p(h, right.apply_p(j, x)) == right.apply_p(
-                        j, left.apply_p(h, x)
-                    )
+        G = pf.target
+        for h in pf.left_sub.elements_p():
+            for j in pf.right_sub.elements_p():
+                for x in G.elements_p():
+                    got = pf.apply_p(h + j, x)
+                    assert got == G.compose_p(h, G.compose_p(x, j))
+                    assert got == G.compose_p(G.compose_p(h, x), j)
     elapsed = time.perf_counter() - t0
     report("algebra-suites", elapsed < 120, f"elapsed={elapsed:.1f}s")
     assert elapsed < 120

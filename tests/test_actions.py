@@ -14,7 +14,6 @@ from bdga.actions import (
     ConjugationAction,
     TwistedConjugacyAction,
     double_act,
-    orbit_stabilizer,
 )
 from bdga.errors import (
     EnumerationCapError,
@@ -126,6 +125,13 @@ def test_stabilizer_s3_is_centralizer():
     x = pf.target.element([2, 1, 3])
     got = {el.payload for el in pf.stabilizer(x)}
     assert got == {bytes([1, 2, 3]), bytes([2, 1, 3])}
+    # the fiber through (1 3) is its left coset: composing with (1 2) on the
+    # acting side, checked against an independent one-line product
+    h = bytes([3, 2, 1])
+    y = pf.apply_p(h, x.payload)
+    fiber = {c for c in pf.acting.elements_p() if pf.apply_p(c, x.payload) == y}
+    assert fiber == {pf.acting.compose_p(h, s) for s in got}
+    assert fiber == {bytes([3, 2, 1]), bytes([3, 1, 2])}
 
 
 def test_bd_orbit_and_stabilizer():
@@ -144,10 +150,10 @@ def test_bd_orbit_and_stabilizer():
 def test_orbit_stabilizer_product(name):
     pf = preset(name)
     for x in pf.target.elements():
-        rep = orbit_stabilizer(pf, x)
-        assert len(rep.orbit) * len(rep.stabilizer) == pf.acting.order
+        orbit, stabilizer = pf.orbit(x), pf.stabilizer(x)
+        assert len(orbit) * len(stabilizer) == pf.acting.order
         # the stabilizer is a subgroup
-        stab = {el.payload for el in rep.stabilizer}
+        stab = {el.payload for el in stabilizer}
         assert pf.acting.identity_p in stab
         for a in stab:
             assert pf.acting.invert_p(a) in stab
@@ -155,27 +161,33 @@ def test_orbit_stabilizer_product(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_fibers_are_stabilizer_cosets(name):
+    # the table views against one apply_p scan of the acting group per point:
+    # the orbit, the stabilizer as a subgroup, and each fiber as the coset
+    # h0 . Stab whose members share h0's image
     pf = preset(name)
-    H = pf.acting
-    position = {h: i for i, h in enumerate(H.elements_p())}
-    for x in pf.target.elements_p():
-        fibers = pf.fibers_p(x)
-        assert fibers is pf.fibers_p(x)
-        stab = fibers[x]
+    H, G = pf.acting, pf.target
+    for x in G.elements():
+        fibers = {}
+        for h in H.elements_p():
+            fibers.setdefault(pf.apply_p(h, x.payload), []).append(h)
+        assert {el.payload for el in pf.orbit(x)} == set(fibers)
+        stab = {el.payload for el in pf.stabilizer(x)}
+        assert stab == set(fibers[x.payload])
+        assert H.identity_p in stab
+        assert all(H.compose_p(a, b) in stab for a in stab for b in stab)
         assert len(fibers) * len(stab) == H.order
-        assert sum(len(hs) for hs in fibers.values()) == H.order
         for y, hs in fibers.items():
-            assert all(pf.apply_p(h, x) == y for h in hs)
-            assert [position[h] for h in hs] == sorted(position[h] for h in hs)
-            assert set(hs) == {H.compose_p(hs[0], s) for s in stab}
+            h0 = hs[0]
+            coset = {H.compose_p(h0, s) for s in stab}
+            assert set(hs) == coset
+            assert {pf.apply_p(h, x.payload) for h in coset} == {y}
 
 
 def test_full_orbit_forces_trivial_stabilizer():
     pf = preset("c23_dcoset")
     x = pf.target.elements()[1]
-    rep = orbit_stabilizer(pf, x)
-    assert len(rep.orbit) == pf.acting.order
-    assert {el.payload for el in rep.stabilizer} == {pf.acting.identity_p}
+    assert len(pf.orbit(x)) == pf.acting.order
+    assert {el.payload for el in pf.stabilizer(x)} == {pf.acting.identity_p}
 
 
 def test_orbit_respects_enumeration_cap():
@@ -250,14 +262,17 @@ def test_twisted_transpose_inverse_matches_oracle():
 
 
 def test_double_action_interchange_law():
+    # the shipped action on the pair h + j against both bracketings
     pf = preset("s4_dcoset")
     rng = Random(11)
-    left, right = pf.left_action, pf.right_action
+    G = pf.target
     for _ in range(2000):
-        h = left.acting.sample_p(rng)
-        j = right.acting.sample_p(rng)
-        x = pf.target.sample_p(rng)
-        assert left.apply_p(h, right.apply_p(j, x)) == right.apply_p(j, left.apply_p(h, x))
+        h = pf.left_sub.sample_p(rng)
+        j = pf.right_sub.sample_p(rng)
+        x = G.sample_p(rng)
+        got = pf.apply_p(h + j, x)
+        assert got == G.compose_p(h, G.compose_p(x, j))
+        assert got == G.compose_p(G.compose_p(h, x), j)
 
 
 def test_double_act_decomposes_and_matches_example():
@@ -266,8 +281,8 @@ def test_double_act_decomposes_and_matches_example():
     j = pf.right_sub.from_cycles((3, 4), (1, 2))  # (3 4)(1 2) lies in A4
     x = pf.target.identity()
     combined = double_act(pf, h, j, x)
-    via_left = pf.left_action.act(h, pf.right_action.act(pf.right_sub.opposite().wrap(j.payload), x))
-    assert combined.payload == via_left.payload
+    G = pf.target
+    assert combined.payload == G.compose_p(h.payload, G.compose_p(x.payload, j.payload))
     expected = o_perm_mul(o_perm_mul((2, 1, 3, 4), (1, 2, 3, 4)), (2, 1, 4, 3))
     assert combined.payload == bytes(expected)
 

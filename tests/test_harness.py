@@ -1,11 +1,17 @@
 """Oracle environment contracts and advantage estimation."""
 
+from types import SimpleNamespace
+
 import pytest
 import scipy.stats
 
+from bdga import experiments
 from bdga.errors import (
+    EnumerationCapError,
     InstanceNotAcceptedError,
     InstanceReusedError,
+    MalformedInstanceError,
+    OracleContractError,
     RegimeError,
     TestUnavailableError,
     TooFewInstancesError,
@@ -17,7 +23,7 @@ from bdga.experiments import (
     make_null_distinguisher,
 )
 from bdga.harness import OracleEnv, derive_seed, estimate_advantage, wilson_half_width
-from bdga.platforms import preset
+from bdga.platforms import PRESET_NAMES, make_platform, preset
 
 BD = preset("bd23")
 S4 = preset("s4_conj")
@@ -63,6 +69,26 @@ def test_execute_refuses_fewer_than_three_instances():
     assert env.q_ex == 0 and env.rng.getstate() == state
     # still the regime error that run_session raises for n < 3
     assert issubclass(TooFewInstancesError, RegimeError)
+
+
+@pytest.mark.parametrize("bad", [("A",), ("A", 1, 2), 5, (["A"], 1)],
+                         ids=["single", "triple", "int", "unhashable"])
+def test_execute_refuses_a_malformed_instance(bad):
+    env = OracleEnv(S4, 42)
+    state = env.rng.getstate()
+    with pytest.raises(MalformedInstanceError):
+        env.execute([("U1", 0), bad, ("U3", 0)])
+    assert env.q_ex == 0 and env.rng.getstate() == state
+    assert issubclass(MalformedInstanceError, OracleContractError)
+
+    def malformed(env):
+        env.execute([("U1", 0), ("U2", 0), bad])
+        env.test("U1", 0)
+        return env.hidden_bit
+
+    # a failed trial, not an aborted estimate
+    report = estimate_advantage(malformed, make_env_factory(BD, 14), 20)
+    assert report.successes == 0 and report.trials == 20 and report.q_ex == 0
 
 
 def test_too_few_instances_count_as_a_failed_trial():
@@ -155,6 +181,42 @@ def test_exhaustive_search_breaks_toy_parameters():
     # expected advantage 10/11: perfect when the bit is 1, and a 1/11 false
     # positive rate when the substituted key happens to collide
     assert report.advantage >= 0.85
+
+
+def test_exhaustive_search_refuses_an_untabulable_platform():
+    # S10 conjugation is above the enumeration cap: the search reads the
+    # action table when it is made, so it raises before any game runs
+    s10 = make_platform("conjugation", family="perm", degree=10, group="full",
+                        subgroup="group", base=[2, 3, 4, 5, 6, 7, 8, 9, 10, 1])
+    envs = []
+    with pytest.raises(EnumerationCapError):
+        estimate_advantage(make_exhaustive_search_distinguisher(s10), envs.append, 5)
+    assert envs == []
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_exhaustive_search_candidates_match_an_apply_scan(name, monkeypatch):
+    # the candidates behind each public v: every acting element moving the
+    # base point to v, in the acting group's order, as one apply_p scan finds
+    pf = preset(name)
+    scan = {}
+    for h in pf.acting.elements_p():
+        scan.setdefault(pf.apply_p(h, pf.base_p), []).append(h)
+    tried = []
+    monkeypatch.setattr(experiments, "oracle_key", lambda _, hs: tried.append(hs) or pf.base)
+    distinguisher = make_exhaustive_search_distinguisher(pf)
+    g = pf.base_p
+    for v in pf.target.elements_p():
+        env = SimpleNamespace(execute=lambda _, v=v: SimpleNamespace(v=(v, g, g)),
+                              test=lambda *_: pf.base)
+        tried.clear()
+        guess = distinguisher(env)
+        if v not in scan:  # outside the orbit: nothing to try
+            assert tried == [] and guess == 0
+            continue
+        for k, want in enumerate((scan[v], scan[g], scan[g])):
+            assert list(dict.fromkeys(hs[k] for hs in tried)) == want
+        assert guess == 1
 
 
 def test_fake_keys_neutralize_the_search_attack():

@@ -7,22 +7,21 @@ from random import Random
 import numpy as np
 import pytest
 import scipy.stats
+from brute_force import brute_force_conditional
 
-from bdga.errors import DegenerateExclusionError, RegimeError
+from bdga.errors import DegenerateExclusionError, EnumerationCapError, RegimeError
 from bdga.harness import derive_seed
 from bdga.platforms import PRESET_NAMES, make_platform, preset
 from bdga.protocol import SessionConfig, oracle_key, run_session
 from bdga.security_lab import (
     Partition,
     conditional_is_uniform,
-    coset,
     ddh_from_witness,
     element_value_partition,
     exact_key_conditional,
     hash_partition,
     hybrid_regime,
     identity_count_partition,
-    left_coset_p,
     require_hybrid_n,
     sample_ddh_ga,
     sample_dist,
@@ -98,8 +97,8 @@ def test_random_excluded_tuples_avoid_the_cosets():
     for _ in range(50):
         tup = sample_ddh_ga(S4, rng, "random_excluded")
         x, y, z, r = tup.witness
-        assert z not in left_coset_p(H, H.compose_p(y, x), stab)
-        assert r not in left_coset_p(H, H.compose_p(x, y), stab)
+        assert z not in {H.compose_p(H.compose_p(y, x), s) for s in stab}
+        assert r not in {H.compose_p(H.compose_p(x, y), s) for s in stab}
         # equivalently, the acted images differ from the shaped ones
         assert tup.t3.payload != S4.apply_p(H.compose_p(y, x), S4.base_p)
         assert tup.t4.payload != S4.apply_p(H.compose_p(x, y), S4.base_p)
@@ -111,36 +110,6 @@ def test_exclusion_degenerates_on_central_base():
     )
     with pytest.raises(DegenerateExclusionError):
         sample_ddh_ga(pf, Random(3), "random_excluded")
-
-
-# -- the coset operation ----------------------------------------------------------------
-
-
-def test_coset_of_identity_is_the_stabilizer():
-    stab = S4.stabilizer(S4.base)
-    got = coset(S4.acting, S4.acting.identity(), stab)
-    assert got == frozenset(stab)
-
-
-def test_coset_members_share_the_base_image():
-    rng = Random(4)
-    stab = S4.stabilizer(S4.base)
-    for _ in range(20):
-        h = S4.acting.sample(rng)
-        cos = coset(S4.acting, h, stab)
-        assert len(cos) == len(stab)
-        images = {S4.act(member, S4.base).payload for member in cos}
-        assert images == {S4.apply_p(h.payload, S4.base_p)}
-
-
-def test_coset_s3_frozen_example():
-    pf = preset("s3_conj")
-    stab = pf.stabilizer(pf.base)  # base (1 2): centralizer {e, (1 2)}
-    assert {el.payload for el in stab} == {bytes([1, 2, 3]), bytes([2, 1, 3])}
-    h = pf.acting.wrap(bytes([3, 2, 1]))  # (1 3)
-    cos = coset(pf.acting, h, stab)
-    # independent one-line product: composing with (1 2) on the acting side
-    assert {el.payload for el in cos} == {bytes([3, 2, 1]), bytes([3, 1, 2])}
 
 
 # -- samplers ---------------------------------------------------------------------
@@ -446,35 +415,6 @@ def test_hybrid_closeness_holds_on_transitive_platform():
 # -- exact key conditional ------------------------------------------------------------
 
 
-def brute_force_conditional(pf, sample):
-    """Independent reimplementation: loop the raw definition without shortcuts."""
-    G, H = pf.target, pf.acting
-    t = sample.transcript
-    n = t.n
-    weights = {}
-    for gamma in G.elements_p():
-        links = [gamma]
-        ok = True
-        for i in range(1, n):
-            links.append(G.compose_p(links[-1], t.z[i - 1]))
-        weight = 1
-        for i in range(n):
-            cnt = 0
-            for c in H.elements_p():
-                if pf.apply_p(c, links[i]) == t.w[i]:
-                    cnt += 1
-            weight *= cnt
-            if weight == 0:
-                ok = False
-                break
-        if ok:
-            sk = links[0]
-            for link in links[1:]:
-                sk = G.compose_p(sk, link)
-            weights[sk] = weights.get(sk, 0) + weight
-    return weights
-
-
 def test_exact_conditional_matches_brute_force_on_bd():
     for t in range(4):
         sample = sample_fake(BD, 4, Random(t))
@@ -488,6 +428,17 @@ def test_exact_conditional_matches_brute_force(name):
     for t in range(3):
         sample = sample_fake(pf, 3 + t, Random(derive_seed(t, "conditional", name)))
         assert exact_key_conditional(pf, sample) == brute_force_conditional(pf, sample)
+
+
+def test_exact_conditional_refuses_an_untabulable_platform():
+    # S10 conjugation is above the enumeration cap: the conditional reads the
+    # platform's tables, which raise the typed error instead of a long scan
+    s10 = make_platform("conjugation", family="perm", degree=10, group="full",
+                        subgroup="group", base=[2, 3, 4, 5, 6, 7, 8, 9, 10, 1])
+    assert not s10.tabulable
+    sample = sample_fake(s10, 3, Random(0))
+    with pytest.raises(EnumerationCapError):
+        exact_key_conditional(s10, sample)
 
 
 def test_prime_order_regular_platform_is_exactly_uniform():

@@ -12,6 +12,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from brute_force import brute_force_conditional
 
 from bdga import actions, security_lab
 from bdga.errors import DegenerateExclusionError, ForeignElementError
@@ -104,11 +105,12 @@ def test_table_path_rejects_a_foreign_witness():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_table_conditional_matches_fibers(name):
+    # the fiber sizes read from the action table, against an apply_p count
     pf = preset(name)
     for t in range(6):
         sample = security_lab.sample_fake(pf, 3 + t % 3, Random(derive_seed(t, "cond", name)))
         got = security_lab._table_key_conditional(pf.tables, sample.transcript)
-        want = security_lab._fiber_key_conditional(pf, sample.transcript)
+        want = brute_force_conditional(pf, sample)
         assert got == want
         assert list(got) == list(want)  # same key order
         assert all(type(w) is int for w in got.values())
