@@ -97,8 +97,8 @@ def test_random_excluded_tuples_avoid_the_cosets():
     for _ in range(50):
         tup = sample_ddh_ga(S4, rng, "random_excluded")
         x, y, z, r = tup.witness
-        assert z not in {H.compose_p(H.compose_p(y, x), s) for s in stab}
-        assert r not in {H.compose_p(H.compose_p(x, y), s) for s in stab}
+        assert z not in left_coset_p(H, H.compose_p(y, x), stab)
+        assert r not in left_coset_p(H, H.compose_p(x, y), stab)
         # equivalently, the acted images differ from the shaped ones
         assert tup.t3.payload != S4.apply_p(H.compose_p(y, x), S4.base_p)
         assert tup.t4.payload != S4.apply_p(H.compose_p(x, y), S4.base_p)
@@ -110,6 +110,42 @@ def test_exclusion_degenerates_on_central_base():
     )
     with pytest.raises(DegenerateExclusionError):
         sample_ddh_ga(pf, Random(3), "random_excluded")
+
+
+# -- the coset h . Stab inside the acting group ----------------------------------------
+
+
+def left_coset_p(H, h, stab):
+    return {H.compose_p(h, s) for s in stab}
+
+
+def test_coset_of_identity_is_the_stabilizer():
+    stab = {el.payload for el in S4.stabilizer(S4.base)}
+    assert left_coset_p(S4.acting, S4.acting.identity_p, stab) == stab
+
+
+def test_coset_members_share_the_base_image():
+    rng = Random(4)
+    stab = {el.payload for el in S4.stabilizer(S4.base)}
+    for _ in range(20):
+        h = S4.acting.sample_p(rng)
+        cos = left_coset_p(S4.acting, h, stab)
+        assert len(cos) == len(stab)
+        images = {S4.apply_p(member, S4.base_p) for member in cos}
+        assert images == {S4.apply_p(h, S4.base_p)}
+
+
+def test_coset_s3_frozen_example():
+    pf = preset("s3_conj")
+    stab = {el.payload for el in pf.stabilizer(pf.base)}  # base (1 2): centralizer {e, (1 2)}
+    assert stab == {bytes([1, 2, 3]), bytes([2, 1, 3])}
+    h = bytes([3, 2, 1])  # (1 3)
+    cos = left_coset_p(pf.acting, h, stab)
+    # independent one-line product: composing with (1 2) on the acting side
+    assert cos == {bytes([3, 2, 1]), bytes([3, 1, 2])}
+    # and it is the fiber through h: every element taking the base where h does
+    y = pf.apply_p(h, pf.base_p)
+    assert cos == {c for c in pf.acting.elements_p() if pf.apply_p(c, pf.base_p) == y}
 
 
 # -- samplers ---------------------------------------------------------------------
