@@ -38,17 +38,19 @@ VALIDATION_TRIPLES = 10_000
 
 class ActionTables:
     """A platform by element index: kept as ``GroupAction.tables`` by
-    tabulable platforms, and built by ``validate()`` for its exhaustive check.
+    tabulable platforms, and built by ``validate()`` for its exhaustive check
+    of a small platform that is not tabulable.
 
     ``H`` and ``G`` are the acting and target groups' ``GroupTable``s,
     ``base`` is the index of the base point, and ``act[h, x]`` the index of
     apply(h, x); ``act_flat[h * |G| + x]`` reads it one entry at a time.
     Below VALIDATION_TRIPLES entries, or on a platform that is not tabulable,
-    the table applies every acting element to every target element once, so
-    that ``validate()`` checks ``apply_p`` itself, and raises
-    PlatformValidationError if an image is not in the target. Larger
-    tabulable sandwich actions, apply(h, x) = l(h) * x * r(h), read it from
-    the target's product table instead.
+    the table applies every acting element to every target element once
+    (``from_factors`` is False), and raises PlatformValidationError if an
+    image is not in the target. Larger tabulable sandwich actions,
+    apply(h, x) = l(h) * x * r(h), read it from the target's product table
+    instead (``from_factors`` is True), and ``validate()`` compares
+    ``apply_p`` with it on sampled entries.
     """
 
     def __init__(self, action: "GroupAction"):
@@ -59,6 +61,7 @@ class ActionTables:
         factors = None
         if action.tabulable and self.H.order * self.G.order > VALIDATION_TRIPLES:
             factors = action._sandwich_factors()
+        self.from_factors = factors is not None
         if factors is not None:
             left, right = (np.array([index[p] for p in side], dtype=np.intp) for side in factors)
             mul = self.G.mul
@@ -168,24 +171,41 @@ class GroupAction:
     # -- validation ------------------------------------------------------------
 
     def validate(self, rng: Random | None = None) -> None:
-        """Check the two action axioms, exhaustively over an action table
-        when |H| * |G| <= VALIDATION_TRIPLES (a tabulable platform keeps its
-        tables) and on sampled triples otherwise. Raises on the first
-        violation."""
+        """Check the two action axioms; raises PlatformValidationError on the
+        first violation.
+
+        A tabulable platform, or one of at most VALIDATION_TRIPLES entries, is
+        checked exhaustively over its action table: the identity row, then
+        apply(s, apply(h, x)) = apply(s . h, x) for every h and x and each s
+        of a generating set of H. Every acting element is a product of
+        generators, so by induction this covers every h2 in place of s.
+        Where the table was read off the sandwich factors instead of built
+        from ``apply_p``, ``apply_p`` is compared with it on
+        VALIDATION_TRIPLES distinct entries drawn from ``rng``. Only a
+        platform too large to tabulate is checked on VALIDATION_TRIPLES
+        sampled triples of ``apply_p`` calls instead."""
         H, G = self.acting, self.target
-        if H.order * G.order <= VALIDATION_TRIPLES:
+        rng = rng or Random(0xA11)
+        if self.tabulable or H.order * G.order <= VALIDATION_TRIPLES:
             # needs only the action table and H's products, never G's
             t = self.tables if self.tabulable else ActionTables(self)
             act = t.act
             if not np.array_equal(act[t.H.identity], np.arange(t.G.order)):
                 raise PlatformValidationError(f"{self.tag}: identity axiom fails")
             mul = t.H.mul
-            for h2 in range(t.H.order):
-                # row h1, column x: apply(h2, apply(h1, x)) against apply(h2 . h1, x)
-                if not np.array_equal(act[h2][act], act[mul[h2]]):
+            for s in _generating_set(t.H):
+                # row h, column x: apply(s, apply(h, x)) against apply(s . h, x)
+                if not np.array_equal(act[s][act], act[mul[s]]):
                     raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
+            if t.from_factors:
+                apply, hs, xs, index = self.apply_p, t.H.elements, t.G.elements, t.G.index
+                ng, act_flat = t.G.order, t.act_flat
+                for e in rng.sample(range(t.H.order * ng), VALIDATION_TRIPLES):
+                    h, x = divmod(e, ng)
+                    if index.get(apply(hs[h], xs[x])) != act_flat[e]:
+                        raise PlatformValidationError(
+                            f"{self.tag}: apply_p disagrees with the action table")
         else:
-            rng = rng or Random(0xA11)
             for _ in range(VALIDATION_TRIPLES):
                 h1 = H.sample_p(rng)
                 h2 = H.sample_p(rng)
@@ -199,6 +219,25 @@ class GroupAction:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.tag}>"
+
+
+def _generating_set(H: GroupTable) -> list[int]:
+    """Indices of a generating set of H, picked greedily from its product
+    table: each pick is the first element outside the subgroup the earlier
+    picks generate, so each at least doubles that subgroup, and there are at
+    most log2 |H| picks."""
+    mul, gens = H.mul, []
+    reached = np.zeros(H.order, dtype=bool)
+    reached[H.identity] = True
+    while not reached.all():
+        gens.append(int(reached.argmin()))
+        # close the subgroup reached so far under right products with the picks
+        frontier, picks = np.flatnonzero(reached), np.array(gens)
+        while frontier.size:
+            before = reached.copy()
+            reached[mul[frontier[:, None], picks]] = True
+            frontier = np.flatnonzero(reached > before)
+    return gens
 
 
 # -- element operations ------------------------------------------------------------

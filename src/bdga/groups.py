@@ -373,7 +373,14 @@ class ModCyclicGroup(FiniteGroup):
             raise PlatformValidationError(f"generator {g} not in 2..{p - 1}")
         if pow(g, q, p) != 1:
             raise PlatformValidationError(f"{g}^{q} != 1 mod {p}: claimed order is wrong")
-        powers = sorted({pow(g, k, p) for k in range(q)})
+        # g's powers up to its order, one product each (g^q = 1, so the order divides q)
+        powers, x = [], 1
+        for _ in range(q):
+            powers.append(x)
+            x = x * g % p
+            if x == 1:
+                break
+        powers.sort()
         if len(powers) != q:
             raise PlatformValidationError(f"{g} has order {len(powers)} mod {p}, not {q}")
         super().__init__(f"mod{p}g{g}")

@@ -54,12 +54,18 @@ class OracleEnv:
     def execute(self, instances: Sequence[tuple[str, int]]) -> Transcript:
         """Run one session over the named fresh instances. Naming an instance
         twice, or one already used, raises InstanceReusedError; fewer than
-        three instances raise TooFewInstancesError; an instance that is not
-        a hashable (user, index) pair, such as ("A",), 5 or (["A"], 1),
-        raises MalformedInstanceError. All three are raised before the session
-        runs, ``q_ex`` counts it or the environment's RNG moves."""
-        if len(instances) < 3:
-            raise TooFewInstancesError(f"a session needs >= 3 instances, got {len(instances)}")
+        three instances raise TooFewInstancesError; ``instances`` that are
+        not a sized sequence, such as None or an iterator, or an instance that
+        is not a hashable (user, index) pair, such as ("A",), 5 or (["A"], 1),
+        raise MalformedInstanceError. All of these are raised before the
+        session runs, ``q_ex`` counts it or the environment's RNG moves."""
+        try:
+            count = len(instances)
+        except TypeError:
+            raise MalformedInstanceError(
+                f"{type(instances).__name__} is not a sequence of instances") from None
+        if count < 3:
+            raise TooFewInstancesError(f"a session needs >= 3 instances, got {count}")
         seen: set[tuple] = set()
         for key in instances:
             try:

@@ -5,6 +5,7 @@ loops (no kernel calls), so expected values never share a code path with the
 implementation under test.
 """
 
+import math
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ from bdga.actions import (
     VALIDATION_TRIPLES,
     ConjugationAction,
     TwistedConjugacyAction,
+    _generating_set,
     double_act,
 )
 from bdga.errors import (
@@ -390,6 +392,23 @@ class EscapingConjugation(ConjugationAction):
         return super().apply_p(h, x)
 
 
+class CollapsingConjugation(ConjugationAction):
+    """Every acting element sends every point to the base point: the
+    compatibility axiom holds, the identity axiom does not."""
+
+    def apply_p(self, h, x):
+        return self.base_p
+
+
+@pytest.mark.parametrize("degree", [3, 7], ids=["table", "sampled"])
+def test_validate_catches_an_identity_that_moves_points(degree):
+    sym = SymmetricGroup(degree)
+    pf = CollapsingConjugation(sym, sym, sym.wrap(bytes([2, 1, *range(3, degree + 1)])))
+    with pytest.raises(PlatformValidationError, match="identity axiom fails"):
+        pf.validate()
+    assert ("tables" in vars(pf)) == pf.tabulable
+
+
 def test_validate_catches_a_right_action_exhaustively():
     pf = RightConjugation(SymmetricGroup(4))
     assert pf.tabulable and pf.acting.order * pf.target.order <= VALIDATION_TRIPLES
@@ -415,9 +434,71 @@ def test_validate_checks_every_triple_of_an_untabulable_platform():
         pf.validate()
 
 
-def test_validate_catches_a_right_action_by_sampling():
+def test_validate_catches_a_right_action_on_the_tables():
+    # tabulable, but above VALIDATION_TRIPLES: the table is read off the
+    # sandwich factors, and the generator checks on it still find the fault
     pf = RightConjugation(SymmetricGroup(5))
-    assert pf.acting.order * pf.target.order > VALIDATION_TRIPLES
+    assert pf.tabulable and pf.acting.order * pf.target.order > VALIDATION_TRIPLES
+    with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
+        pf.validate()
+    assert "tables" in vars(pf)  # the table branch ran
+
+
+def test_validate_catches_a_right_action_by_sampling():
+    pf = RightConjugation(SymmetricGroup(7))
+    assert not pf.tabulable and pf.acting.order * pf.target.order > VALIDATION_TRIPLES
     with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
         pf.validate()
     assert "tables" not in vars(pf)  # the sampled branch ran
+
+
+class MisreportedConjugation(ConjugationAction):
+    """apply_p computes h x h^-1, a right action, while the sandwich factors
+    it inherits still describe h^-1 x h: its table is a valid action, its
+    apply_p is not."""
+
+    def apply_p(self, h, x):
+        return super().apply_p(self.target.invert_p(h), x)
+
+
+def test_validate_compares_apply_p_with_a_table_read_off_the_factors():
+    s5 = SymmetricGroup(5)
+    pf = MisreportedConjugation(s5, s5, s5.wrap(bytes([2, 3, 4, 5, 1])))
+    assert pf.tables.from_factors
+    with pytest.raises(PlatformValidationError, match="apply_p disagrees with the action table"):
+        pf.validate()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_validate_never_samples_a_tabulable_platform(name):
+    """Every preset is validated over its tables, drawing no group element;
+    where the table is read off the sandwich factors, apply_p is compared
+    with it on VALIDATION_TRIPLES distinct entries."""
+    pf = platform_from_descriptor(preset(name).descriptor)
+    t = pf.tables
+
+    def no_sampling(rng):
+        raise AssertionError("validate() sampled an element")
+
+    pf.acting.sample_p = pf.target.sample_p = no_sampling
+    calls = []
+    apply = pf.apply_p
+    pf.apply_p = lambda h, x: calls.append((h, x)) or apply(h, x)
+    pf.validate()
+    want = VALIDATION_TRIPLES if t.from_factors else 0
+    assert len(calls) == len(set(calls)) == want
+    assert t.from_factors == (pf.acting.order * pf.target.order > VALIDATION_TRIPLES)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_generating_set_generates_the_acting_group(name):
+    H = preset(name).tables.H
+    gens = _generating_set(H)
+    assert len(gens) <= math.log2(H.order)
+    mul = H.mul.tolist()
+    reached, frontier = {H.identity}, [H.identity]
+    while frontier:
+        fresh = {mul[a][s] for a in frontier for s in gens} - reached
+        reached |= fresh
+        frontier = list(fresh)
+    assert reached == set(range(H.order))

@@ -159,6 +159,15 @@ def test_modular_group_validation_errors():
         ModCyclicGroup(23, 2, 7)  # wrong order
     with pytest.raises(PlatformValidationError):
         ModCyclicGroup(23, 1, 11)  # g out of range
+    with pytest.raises(PlatformValidationError, match="has order 11 mod 23, not 22"):
+        ModCyclicGroup(23, 2, 22)  # 2^22 = 1, but 2 has order 11
+
+
+@pytest.mark.parametrize("p, g, q", [(23, 2, 11), (200087, 4, 100043)])
+def test_modular_cyclic_elements_are_the_sorted_powers(p, g, q):
+    group = ModCyclicGroup(p, g, q)
+    want = sorted({pow(g, k, p) for k in range(q)})
+    assert [int.from_bytes(e, "big") for e in group.elements_p()] == want
 
 
 def test_extend_homomorphism_consistency():

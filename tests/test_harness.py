@@ -91,6 +91,24 @@ def test_execute_refuses_a_malformed_instance(bad):
     assert report.successes == 0 and report.trials == 20 and report.q_ex == 0
 
 
+@pytest.mark.parametrize("make", [lambda: None, lambda: iter(TRIO)], ids=["none", "iterator"])
+def test_execute_refuses_instances_that_are_not_a_sequence(make):
+    env = OracleEnv(BD, 42)
+    state = env.rng.getstate()
+    with pytest.raises(MalformedInstanceError):
+        env.execute(make())
+    assert env.q_ex == 0 and env.rng.getstate() == state
+
+    def unsized(env):
+        env.execute(make())
+        env.test("U1", 0)
+        return env.hidden_bit
+
+    # a failed trial, not an aborted estimate
+    report = estimate_advantage(unsized, make_env_factory(BD, 15), 20)
+    assert report.successes == 0 and report.trials == 20 and report.q_ex == 0
+
+
 def test_too_few_instances_count_as_a_failed_trial():
     def pair_only(env):
         env.execute([("U1", 0), ("U2", 0)])
