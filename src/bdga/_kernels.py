@@ -18,6 +18,24 @@ def perm_compose(a, b):
     return b.translate(b"\0" + a + _PAD[len(a):])
 
 
+def perm_scan(x, seq):
+    # the prefix products [x, x.s0, x.s0.s1, ...], the pad built once
+    pad = _PAD[len(x):]
+    out = [x]
+    for s in seq:
+        x = s.translate(b"\0" + x + pad)
+        out.append(x)
+    return out
+
+
+def perm_prod(x, seq):
+    # x.s0.s1...
+    pad = _PAD[len(x):]
+    for s in seq:
+        x = s.translate(b"\0" + x + pad)
+    return x
+
+
 def perm_invert(a):
     return bytes.maketrans(a, _IDENTITY[: len(a)])[1 : len(a) + 1]
 

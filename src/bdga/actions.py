@@ -243,8 +243,9 @@ def _generating_set(H: GroupTable) -> list[int]:
 # -- element operations ------------------------------------------------------------
 #
 # The samplers and the protocol are each written once over an element-ops
-# backend: draws from the two groups, products, inverses, the action, and the
-# conversions between payloads and elements. On tabulable platforms the
+# backend: draws from the two groups, products, inverses, the action, the
+# folds of the key pass (a prefix-product ``scan`` and an ordered ``prod``),
+# and the conversions between payloads and elements. On tabulable platforms the
 # elements are indices into the platform's tables; otherwise they are the
 # payloads themselves. Both per-trial backends draw from a Random exactly as
 # the groups' sample_p do, so a seed gives the same bytes on either. A batch
@@ -313,6 +314,7 @@ class _ByteOps(_TrialOps):
         self.draw_h, self.draw_g = H.sample_p, G.sample_p
         self.hmul, self.hinv = H.compose_p, H.invert_p
         self.gmul, self.ginv = G.compose_p, G.invert_p
+        self.scan, self.prod = G.scan_p, G.prod_p
         self.act = platform.apply_p
 
     @staticmethod
@@ -345,12 +347,34 @@ class _IndexOps(_TrialOps):
         self._h, self._nh = H, H.order  # H's tables are built when first used
         self._h_el, self._g_el = H.elements, G.elements
         self._h_index, self._g_index = H.index, G.index
-        self._ginv, self._ng = G.inv, G.order
+        self._ginv, self._ng, self._gid = G.inv, G.order, G.identity
         self._act = t.act_flat
-        # the hottest operation (the key ladders): a closure reads no
-        # attributes per call
-        mul, ng = G.mul_flat, G.order
+        self._gmul_flat = mul = G.mul_flat
+        ng = G.order
+        # one product per party in round 4 and per link in the samplers; a
+        # closure reads no attributes per call
         self.gmul = lambda a, b: mul[a * ng + b]
+
+    # the folds of the key pass, one inline loop over the product table each
+
+    def scan(self, x: int, seq) -> list[int]:
+        """The prefix products of ``seq`` after x: [x, x.s0, x.s0.s1, ...]."""
+        mul, ng = self._gmul_flat, self._ng
+        out = [x]
+        append = out.append
+        for s in seq:
+            x = mul[x * ng + s]
+            append(x)
+        return out
+
+    def prod(self, seq) -> int:
+        """The ordered product s0.s1...; the identity when ``seq`` is empty."""
+        mul, ng = self._gmul_flat, self._ng
+        it = iter(seq)
+        x = next(it, self._gid)
+        for s in it:
+            x = mul[x * ng + s]
+        return x
 
     def hmul(self, a: int, b: int) -> int:
         return self._h.mul_flat[a * self._nh + b]
@@ -430,6 +454,10 @@ class _BatchOps:
 
     def gmul(self, a, b) -> np.ndarray:
         return self._G.mul[a, b]
+
+    def prod(self, seq) -> np.ndarray:
+        """The ordered product of a non-empty ``seq``, one lookup per link."""
+        return functools.reduce(self.gmul, seq)
 
     def ginv(self, a) -> np.ndarray:
         return np.asarray(self._G.inv)[a]

@@ -94,6 +94,15 @@ class FiniteGroup:
         ``randrange(order)``, an index into the canonical enumeration."""
         return _rejection_draw((self.order,))
 
+    def scan_p(self, x: bytes, seq: Iterable[bytes]) -> list[bytes]:
+        """The prefix products of ``seq`` after x: [x, x.s0, x.s0.s1, ...]."""
+        return list(itertools.accumulate(seq, self.compose_p, initial=x))
+
+    def prod_p(self, seq: Iterable[bytes]) -> bytes:
+        """The ordered product s0.s1...; the identity when ``seq`` is empty."""
+        it = iter(seq)
+        return functools.reduce(self.compose_p, it, next(it, self.identity_p))
+
     def _mul_table(self) -> np.ndarray:
         els, index, compose = self.elements_p(), self._index_map(), self.compose_p
         return np.array([[index[compose(a, b)] for b in els] for a in els])
@@ -171,6 +180,13 @@ class _PermBase(FiniteGroup):
 
     def invert_p(self, a):
         return kern.perm_invert(a)
+
+    def scan_p(self, x, seq):
+        return kern.perm_scan(x, seq)
+
+    def prod_p(self, seq):
+        it = iter(seq)
+        return kern.perm_prod(next(it, self.identity_p), it)
 
     def element(self, one_line: Sequence[int]) -> GroupElement:
         payload = perm_payload(one_line)
@@ -348,6 +364,18 @@ class Mat2Group(_Mat2Base):
 # -- modular-arithmetic groups ------------------------------------------------
 
 
+def _powers(g: int, p: int, q: int) -> list[int]:
+    """g^0, g^1, ... mod p up to g's order, one product each; as g^q = 1 mod
+    p, the order divides q, and there are q powers exactly when it is q."""
+    powers, x = [], 1
+    for _ in range(q):
+        powers.append(x)
+        x = x * g % p
+        if x == 1:
+            break
+    return powers
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -373,13 +401,7 @@ class ModCyclicGroup(FiniteGroup):
             raise PlatformValidationError(f"generator {g} not in 2..{p - 1}")
         if pow(g, q, p) != 1:
             raise PlatformValidationError(f"{g}^{q} != 1 mod {p}: claimed order is wrong")
-        # g's powers up to its order, one product each (g^q = 1, so the order divides q)
-        powers, x = [], 1
-        for _ in range(q):
-            powers.append(x)
-            x = x * g % p
-            if x == 1:
-                break
+        powers = _powers(g, p, q)
         powers.sort()
         if len(powers) != q:
             raise PlatformValidationError(f"{g} has order {len(powers)} mod {p}, not {q}")
@@ -401,6 +423,31 @@ class ModCyclicGroup(FiniteGroup):
 
     def invert_p(self, a):
         return pow(int.from_bytes(a, "big"), -1, self.p).to_bytes(self.payload_len, "big")
+
+    # the folds multiply Python ints mod p, converting each payload once
+
+    def scan_p(self, x, seq):
+        p, width = self.p, self.payload_len
+        v, out = int.from_bytes(x, "big"), [x]
+        for s in map(int.from_bytes, seq, itertools.repeat("big")):
+            v = v * s % p
+            out.append(v.to_bytes(width, "big"))
+        return out
+
+    def prod_p(self, seq):
+        p, v = self.p, 1
+        for s in map(int.from_bytes, seq, itertools.repeat("big")):
+            v = v * s % p
+        return v.to_bytes(self.payload_len, "big")
+
+    def _mul_table(self):
+        # g^i * g^j = g^((i + j) mod q): number the elements by exponent, so
+        # no product of residues is formed
+        q = self.q
+        exponent = np.argsort(_powers(self.g, self.p, q))  # of each element, in sorted order
+        position = np.empty(q, dtype=np.intp)
+        position[exponent] = np.arange(q)
+        return position[np.add.outer(exponent, exponent) % q]
 
     def contains_p(self, payload):
         # Z_p^* is cyclic and q divides p - 1, so the powers of g are exactly
@@ -440,6 +487,14 @@ class UnitsModGroup(FiniteGroup):
 
     def invert_p(self, a):
         return pow(int.from_bytes(a, "big"), -1, self.q).to_bytes(self.payload_len, "big")
+
+    def _mul_table(self):
+        # products of the units in numpy, mapped back through a value -> index array
+        q = self.q
+        units = np.array([int.from_bytes(a, "big") for a in self.elements_p()], dtype=np.int64)
+        index = np.zeros(q, dtype=np.intp)
+        index[units] = np.arange(len(units))
+        return index[np.multiply.outer(units, units) % q]
 
     def contains_p(self, payload):
         if len(payload) != self.payload_len:

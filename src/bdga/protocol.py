@@ -17,14 +17,15 @@ the same group element.
 Each round is one function over elements of the platform's element-ops
 backend (``actions._ops``). ``run_session`` calls them for all parties in one
 pass; ``PartyState`` calls them for one party, behind its payload boundary
-and its write-once, round-order checks.
+and its write-once, round-order checks. The key pass, each party's own
+ladder and key product (2n(n - 1) products per session, the protocol's only
+quadratic work), runs on the backend's two folds: one loop over the product
+table on the tables, one kernel of the target group on payloads.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
@@ -196,10 +197,11 @@ def _round4(ops, h, v_prev, c_right, w_next) -> tuple:
 
 def _party_key(ops, x, z_all: Sequence, index: int):
     """Party ``index``'s key from its own X_i and the n broadcasts: its ladder
-    multiplied out in the order of 1..n rotated back by index - 1 (cycle_step
-    applied index - 1 times)."""
-    ladder = _ladder(ops.gmul, x, z_all, index)
-    return functools.reduce(ops.gmul, _rotated(ladder, 1 - index))
+    (a prefix-product scan) multiplied out (an ordered product) in the order
+    of 1..n rotated back by index - 1 (cycle_step applied index - 1 times).
+    The two folds are the backend's: one loop each over the product table,
+    or the target group's fold kernels on payloads."""
+    return ops.prod(_rotated(_ladder(ops, x, z_all, index), 1 - index))
 
 
 def _rotated(seq: Sequence, shift: int) -> Sequence:
@@ -208,9 +210,9 @@ def _rotated(seq: Sequence, shift: int) -> Sequence:
     return seq[k:] + seq[:k]
 
 
-def _ladder(gmul, x, z_all: Sequence, index: int) -> list:
+def _ladder(ops, x, z_all: Sequence, index: int) -> list:
     # the broadcasts from party index's own onwards, folded into X_i
-    return list(itertools.accumulate(_rotated(z_all, index - 1)[:-1], gmul, initial=x))
+    return ops.scan(x, _rotated(z_all, index - 1)[:-1])
 
 
 def key_ladder(
@@ -221,7 +223,7 @@ def key_ladder(
     party around the cycle."""
     ops = actions._ops(platform)
     (x,) = ops.from_g((x,))
-    return list(ops.g_tuple(_ladder(ops.gmul, x, ops.from_g(z_all), index)))
+    return list(ops.g_tuple(_ladder(ops, x, ops.from_g(z_all), index)))
 
 
 def oracle_key(platform: GroupAction, secrets: Sequence[GroupElement | bytes]) -> GroupElement:

@@ -147,9 +147,7 @@ def _assemble(ops, n: int, vs: Sequence, links: Sequence, cs: Sequence,
     act, gmul, ginv = ops.act, ops.gmul, ops.ginv
     ws = [act(cs[i - 1], links[i]) for i in range(n)]
     zs = [gmul(ginv(links[i]), links[(i + 1) % n]) for i in range(n)]
-    sk = links[0]
-    for link in links[1:]:
-        sk = gmul(sk, link)
+    sk = ops.prod(links)
     internals["links"] = ops.g_tuple(links)
     internals["c"] = ops.h_tuple(cs)
     return ops.sample(n, vs, ws, zs, sk, internals)

@@ -30,9 +30,12 @@ def transcript_to_obj(transcript: Transcript) -> dict[str, Any]:
 
 def transcript_from_obj(obj: dict[str, Any]) -> Transcript:
     try:
+        n = obj["n"]
+        if type(n) is not int:  # not a float, a string or a bool
+            raise TypeError(f"n must be an integer, not {n!r}")
         transcript = Transcript(
             platform=obj["platform"],
-            n=int(obj["n"]),
+            n=n,
             v=tuple(bytes.fromhex(h) for h in obj["v"]),
             w=tuple(bytes.fromhex(h) for h in obj["w"]),
             z=tuple(bytes.fromhex(h) for h in obj["Z"]),

@@ -162,6 +162,18 @@ def test_verify_malformed_descriptor_exits_2(session_files, capsys, descriptor):
     assert capsys.readouterr().err.startswith("error: platform descriptor")
 
 
+@pytest.mark.parametrize("n", [3.5, "3", True], ids=["float_n", "string_n", "bool_n"])
+def test_verify_malformed_party_count_exits_2(session_files, capsys, n):
+    # the transcript has 3 parties; int() would read 3.5 and "3" as 3, and
+    # True as 1
+    tpath, _ = session_files
+    obj = read(tpath)
+    obj["n"] = n
+    Path(tpath).write_text(json.dumps(obj))
+    assert run_cli("verify", tpath) == 2
+    assert capsys.readouterr().err.startswith("error: malformed transcript object")
+
+
 def test_verify_meta_not_an_object_exits_2(session_files, capsys):
     tpath, _ = session_files
     obj = read(tpath)

@@ -30,14 +30,22 @@ BD = preset("bd23")
 S4 = preset("s4_conj")
 
 
+S10_CONJ = {"family": "perm", "degree": 10, "group": "full", "subgroup": "group",
+            "base": [2, 3, 4, 5, 6, 7, 8, 9, 10, 1]}
+
+
 def platform_named(name):
-    """A preset, or ``bd_modp_2039``: q = 1019 units is too many to
-    tabulate, so that platform runs on the byte path."""
+    """A preset, ``bd_modp_2039`` or ``s10_conj``: q = 1019 units and 10!
+    permutations are too many to tabulate, so those two platforms run on
+    the byte path (the modular and the permutation kernels)."""
     if name == "bd_modp_2039":
         pf = make_platform("bd_modp", p=2039, g=4, q=1019)
-        assert not pf.tabulable
-        return pf
-    return preset(name)
+    elif name == "s10_conj":
+        pf = make_platform("conjugation", **S10_CONJ)
+    else:
+        return preset(name)
+    assert not pf.tabulable
+    return pf
 
 
 def bd_int(payload: bytes) -> int:
@@ -248,7 +256,8 @@ def test_session_keys_agree_and_match_oracle():
                 assert rec.pid == tuple(f"U{i+1}" for i in range(n))
 
 
-@pytest.mark.parametrize("name", ["s4_conj", "gl25_twist", "sl23_dcoset", "bd23", "bd_modp_2039"])
+@pytest.mark.parametrize(
+    "name", ["s4_conj", "gl25_twist", "sl23_dcoset", "bd23", "bd_modp_2039", "s10_conj"])
 def test_every_party_key_matches_oracle_up_to_forty_parties(name):
     pf = platform_named(name)
     for n in range(3, 41):
@@ -277,7 +286,7 @@ def drive_party_states(pf, n, secrets, pair_keys):
     return vs, ws, zs, keys, xs, ys
 
 
-@pytest.mark.parametrize("name", [*PRESET_NAMES, "bd_modp_2039"])
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "bd_modp_2039", "s10_conj"])
 def test_party_states_match_run_session(name):
     # run_session computes whole rounds without PartyState; parties driven
     # one by one on its secrets and pair keys must send and derive the same
@@ -292,15 +301,18 @@ def test_party_states_match_run_session(name):
 
 
 def test_ladder_shift_relation():
-    # party i+1's ladder is party i's shifted by one position (cyclically)
-    res = run_session(SessionConfig(S4, 7, 12))
-    zs = res.transcript.z
-    ladders = [key_ladder(S4, res.internals.x[i], zs, i + 1) for i in range(7)]
-    for i in range(7):
-        nxt = ladders[(i + 1) % 7]
-        cur = ladders[i]
-        for k in range(1, 7):
-            assert nxt[k - 1] == cur[k]
+    # party i+1's ladder is party i's shifted by one position (cyclically),
+    # on the tables and, at a long ladder, through the permutation kernel
+    for pf, n in ((S4, 7), (platform_named("s10_conj"), 33)):
+        res = run_session(SessionConfig(pf, n, 12))
+        zs = res.transcript.z
+        ladders = [key_ladder(pf, res.internals.x[i], zs, i + 1) for i in range(n)]
+        for i in range(n):
+            nxt = ladders[(i + 1) % n]
+            cur = ladders[i]
+            assert len(cur) == n
+            for k in range(1, n):
+                assert nxt[k - 1] == cur[k]
 
 
 def test_telescoping():
@@ -364,8 +376,7 @@ def test_round_order_is_enforced():
 def test_byte_backend_parties_reject_foreign_payloads():
     # too large to tabulate, so parties hold payloads; membership is read off
     # the groups' contains_p, and the modular groups build no index map
-    s10 = make_platform("conjugation", family="perm", degree=10, group="full",
-                        subgroup="group", base=[2, 3, 4, 5, 6, 7, 8, 9, 10, 1])
+    s10 = platform_named("s10_conj")
     bd = make_platform("bd_modp", p=200087, g=4, q=100043)
     non_residue = (200087 - 1).to_bytes(3, "big")  # -1, as 200087 = 3 mod 4
     for pf, h_bad, g_bad in (

@@ -38,6 +38,27 @@ from bdga.protocol import (
 
 SEEDS = range(200)
 
+# too large to tabulate, so they run on payloads, through the target group's
+# permutation, modular and generic (compose_p) kernels
+UNTABULABLE = {
+    "s10_conj": ("conjugation", {"family": "perm", "degree": 10, "group": "full",
+                                 "subgroup": "group", "base": [2, 3, 4, 5, 6, 7, 8, 9, 10, 1]}),
+    "bd_modp_100043": ("bd_modp", {"p": 200087, "g": 4, "q": 100043}),
+    "bd_modp_1019": ("bd_modp", {"p": 2039, "g": 4, "q": 1019}),
+    "gl27_conj": ("conjugation", {"family": "mat2", "p": 7, "group": "full",
+                                  "subgroup": "group", "base": [[1, 1], [0, 1]]}),
+}
+
+
+def platform_named(name):
+    """A preset, or one of the UNTABULABLE platforms."""
+    if name not in UNTABULABLE:
+        return preset(name)
+    kind, params = UNTABULABLE[name]
+    pf = make_platform(kind, **params)
+    assert not pf.tabulable
+    return pf
+
 
 def byte_ops(platform, rng=None):
     """A stand-in for ``actions._ops`` that forces the byte backend."""
@@ -193,13 +214,7 @@ def test_uniform_pair_keys_match_on_both_backends(name, monkeypatch):
 def test_default_pair_keys_are_uniform_pair_keys(name):
     """No pair-key source draws what ``uniform_pair_keys`` draws, on both
     backends: the same samples, sessions and RNG states."""
-    if name == "s10_conj":
-        pf = make_platform("conjugation", family="perm", degree=10, group="full",
-                           subgroup="group", base=[2, 3, 4, 5, 6, 7, 8, 9, 10, 1])
-    elif name == "bd_modp_100043":
-        pf = make_platform("bd_modp", p=200087, g=4, q=100043)
-    else:
-        pf = preset(name)
+    pf = platform_named(name)
     for seed in range(20):
         got, want = Random(seed), Random(seed)
         for draw in (lambda rng, *k: security_lab.sample_real(pf, 5, rng, *k),
@@ -213,16 +228,51 @@ def test_default_pair_keys_are_uniform_pair_keys(name):
 
 
 def test_group_tables_match_compose_and_invert():
-    # the matrix groups' products are built in numpy, the others' by the loop
+    # the matrix and modular groups' products are built in numpy, the
+    # others' by the loop
     a4 = generated_perm_group(4, [[2, 3, 1, 4], [1, 3, 4, 2]])
     for group in (SymmetricGroup(4).opposite(), ProductGroup(SymmetricGroup(3), a4.opposite()),
                   GL2Group(3), GL2Group(5), generated_mat2_group(3, [[1, 1, 0, 1], [0, 2, 1, 0]]),
-                  generated_mat2_group(251, [[1, 1, 0, 1], [250, 0, 0, 1]])):
+                  generated_mat2_group(251, [[1, 1, 0, 1], [250, 0, 0, 1]]),
+                  UnitsModGroup(21), UnitsModGroup(509), ModCyclicGroup(23, 2, 11),
+                  ModCyclicGroup(1019, 4, 509)):
         t = group.table
         for a, pa in enumerate(t.elements):
             assert t.elements[t.inv[a]] == group.invert_p(pa)
             for b, pb in enumerate(t.elements):
                 assert t.elements[t.mul[a, b]] == group.compose_p(pa, pb)
+
+
+def compose_folds(group, x, seq):
+    """The reference for the key pass's folds, one compose_p per step: the
+    prefix products of seq after x, and the product of seq."""
+    ladder = [x]
+    for s in seq:
+        ladder.append(group.compose_p(ladder[-1], s))
+    product = group.identity_p
+    for s in seq:
+        product = group.compose_p(product, s)
+    return ladder, product
+
+
+@pytest.mark.parametrize("name, on_bytes", [
+    *(pytest.param(name, on_bytes, id=f"{name}-{'bytes' if on_bytes else 'tables'}")
+      for name in PRESET_NAMES for on_bytes in (False, True)),
+    *(pytest.param(name, True, id=f"{name}-bytes") for name in UNTABULABLE),
+])
+def test_key_pass_folds_match_the_compose_fold(name, on_bytes, monkeypatch):
+    pf = platform_named(name)
+    if on_bytes:
+        monkeypatch.setattr(actions, "_ops", byte_ops)
+    ops = actions._ops(pf)
+    assert isinstance(ops, actions._ByteOps if on_bytes else actions._IndexOps)
+    G, rng = pf.target, Random(derive_seed(0, "folds", name))
+    for length in range(41):
+        x, *seq = (G.sample_p(rng) for _ in range(length + 1))
+        ladder, product = compose_folds(G, x, seq)
+        (x,), seq = ops.from_g([x]), ops.from_g(seq)
+        assert list(ops.g_tuple(ops.scan(x, seq))) == ladder
+        assert ops.g_bytes(ops.prod(seq)) == product
 
 
 def drive_parties(config):
