@@ -10,10 +10,11 @@ from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
+from named_platforms import platform_named
 
 from bdga import actions
 from bdga.errors import ForeignElementError, ProtocolStateError, RegimeError
-from bdga.platforms import PRESET_NAMES, make_platform, preset
+from bdga.platforms import PRESET_NAMES, preset
 from bdga.protocol import (
     PartyState,
     SessionConfig,
@@ -28,24 +29,6 @@ from bdga.serial import transcript_from_obj, transcript_to_obj
 
 BD = preset("bd23")
 S4 = preset("s4_conj")
-
-
-S10_CONJ = {"family": "perm", "degree": 10, "group": "full", "subgroup": "group",
-            "base": [2, 3, 4, 5, 6, 7, 8, 9, 10, 1]}
-
-
-def platform_named(name):
-    """A preset, ``bd_modp_2039`` or ``s10_conj``: q = 1019 units and 10!
-    permutations are too many to tabulate, so those two platforms run on
-    the byte path (the modular and the permutation kernels)."""
-    if name == "bd_modp_2039":
-        pf = make_platform("bd_modp", p=2039, g=4, q=1019)
-    elif name == "s10_conj":
-        pf = make_platform("conjugation", **S10_CONJ)
-    else:
-        return preset(name)
-    assert not pf.tabulable
-    return pf
 
 
 def bd_int(payload: bytes) -> int:
@@ -376,8 +359,7 @@ def test_round_order_is_enforced():
 def test_byte_backend_parties_reject_foreign_payloads():
     # too large to tabulate, so parties hold payloads; membership is read off
     # the groups' contains_p, and the modular groups build no index map
-    s10 = platform_named("s10_conj")
-    bd = make_platform("bd_modp", p=200087, g=4, q=100043)
+    s10, bd = platform_named("s10_conj"), platform_named("bd_modp_100043")
     non_residue = (200087 - 1).to_bytes(3, "big")  # -1, as 200087 = 3 mod 4
     for pf, h_bad, g_bad in (
         (s10, [bytes(10), b"\n" * 10, bytes(range(1, 10))], [bytes([1] * 10)]),

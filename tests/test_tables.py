@@ -13,6 +13,7 @@ from random import Random
 import numpy as np
 import pytest
 from brute_force import brute_force_conditional
+from named_platforms import UNTABULABLE, platform_named
 
 from bdga import actions, security_lab
 from bdga.errors import DegenerateExclusionError, ForeignElementError
@@ -27,7 +28,7 @@ from bdga.groups import (
     generated_perm_group,
 )
 from bdga.harness import derive_seed
-from bdga.platforms import PRESET_NAMES, make_platform, preset
+from bdga.platforms import PRESET_NAMES, preset
 from bdga.protocol import (
     PartyState,
     SessionConfig,
@@ -37,27 +38,6 @@ from bdga.protocol import (
 )
 
 SEEDS = range(200)
-
-# too large to tabulate, so they run on payloads, through the target group's
-# permutation, modular and generic (compose_p) kernels
-UNTABULABLE = {
-    "s10_conj": ("conjugation", {"family": "perm", "degree": 10, "group": "full",
-                                 "subgroup": "group", "base": [2, 3, 4, 5, 6, 7, 8, 9, 10, 1]}),
-    "bd_modp_100043": ("bd_modp", {"p": 200087, "g": 4, "q": 100043}),
-    "bd_modp_1019": ("bd_modp", {"p": 2039, "g": 4, "q": 1019}),
-    "gl27_conj": ("conjugation", {"family": "mat2", "p": 7, "group": "full",
-                                  "subgroup": "group", "base": [[1, 1], [0, 1]]}),
-}
-
-
-def platform_named(name):
-    """A preset, or one of the UNTABULABLE platforms."""
-    if name not in UNTABULABLE:
-        return preset(name)
-    kind, params = UNTABULABLE[name]
-    pf = make_platform(kind, **params)
-    assert not pf.tabulable
-    return pf
 
 
 def byte_ops(platform, rng=None):
