@@ -8,6 +8,13 @@ hidden bit drawn once at construction. The adversary surface is two oracles:
   test(user, idx)     -- once per environment: the instance's session key if
                          the hidden bit is 1, else a uniform target element
 
+A game runs the session's own round code (``protocol._session_rounds``, the
+rounds ``run_session`` runs) on the platform's element-ops backend, and
+builds only what the game reads: the transcript, its sid, and one key per
+instance. With ``fake_keys`` the key pass, whose output nobody reads, is
+skipped, and each key is a uniform target element drawn after the session.
+Its draws are the ones ``run_session`` and the target's ``sample`` make.
+
 ``estimate_advantage`` scores a guessing strategy over many fresh
 environments and reports |2 Pr[correct] - 1| with a Wilson 95% half-width.
 """
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
 
+from . import actions
 from .actions import GroupAction
 from .errors import (
     InstanceNotAcceptedError,
@@ -30,7 +38,7 @@ from .errors import (
     TooFewInstancesError,
 )
 from .groups import GroupElement
-from .protocol import SessionConfig, SessionRecord, Transcript, run_session
+from .protocol import SessionRecord, Transcript, _party_key, _session_rounds
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -44,6 +52,7 @@ class OracleEnv:
 
     def __init__(self, platform: GroupAction, seed: int, fake_keys: bool = False):
         self.platform = platform
+        self._ops = actions._ops(platform)
         self.rng = Random(seed)
         self.fake_keys = fake_keys
         self._records: dict[tuple[str, int], SessionRecord] = {}
@@ -79,21 +88,26 @@ class OracleEnv:
                 raise InstanceReusedError(f"instance {key} was already used")
             seen.add(key)
         pid = tuple(f"{u}#{i}" for u, i in instances)
-        session_seed = self.rng.getrandbits(63)
-        result = run_session(SessionConfig(self.platform, len(instances), session_seed))
+        ops, rng = self._ops, self.rng
+        _, _, vs, ws, xs, _, zs = _session_rounds(ops, count, Random(rng.getrandbits(63)))
+        g_tuple, g_bytes, wrap_g = ops.g_tuple, ops.g_bytes, self.platform.target.wrap
+        transcript = Transcript(self.platform.tag, count, g_tuple(vs), g_tuple(ws), g_tuple(zs))
+        sid = transcript.sid
         self.q_ex += 1
-        for key, record, sk in zip(instances, result.records, result.keys):
-            if self.fake_keys:
-                sk = self.platform.target.sample(self.rng)
+        if self.fake_keys:
+            keys = [ops.draw_g(rng) for _ in range(count)]
+        else:
+            keys = [_party_key(ops, x, zs, i) for i, x in enumerate(xs, 1)]
+        for key, sk in zip(instances, keys):
             self._records[tuple(key)] = SessionRecord(
                 pid=pid,
-                sid=record.sid,
-                sk=sk,
+                sid=sid,
+                sk=wrap_g(g_bytes(sk)),
                 acc=True,
                 term=True,
                 used=True,
             )
-        return result.transcript
+        return transcript
 
     def test(self, user: str, index: int) -> GroupElement:
         if self.test_used:
@@ -104,7 +118,8 @@ class OracleEnv:
         self.test_used = True
         if self._bit == 1:
             return rec.sk
-        return self.platform.target.sample(self.rng)
+        ops = self._ops
+        return self.platform.target.wrap(ops.g_bytes(ops.draw_g(self.rng)))
 
     @property
     def hidden_bit(self) -> int:

@@ -15,9 +15,10 @@ The session key is an ordered product of ladder values; every party computes
 the same group element.
 
 Each round is one function over elements of the platform's element-ops
-backend (``actions._ops``). ``run_session`` calls them for all parties in one
-pass; ``PartyState`` calls them for one party, behind its payload boundary
-and its write-once, round-order checks. The key pass, each party's own
+backend (``actions._ops``). ``_session_rounds`` calls them for all parties
+in one pass, for ``run_session`` and for the oracle game's ``execute``;
+``PartyState`` calls them for one party, behind its payload boundary and
+its write-once, round-order checks. The key pass, each party's own
 ladder and key product (2n(n - 1) products per session, the protocol's only
 quadratic work), runs on the backend's two folds: one loop over the product
 table on the tables, one kernel of the target group on payloads.
@@ -220,7 +221,13 @@ def key_ladder(
 ) -> list[bytes]:
     """The accumulating values party ``index`` folds into its key: the first
     is X_i, and each next one multiplies in the broadcast value of the next
-    party around the cycle."""
+    party around the cycle. Fewer than three broadcasts, or an index outside
+    1..n, raise ProtocolStateError, as PartyState does."""
+    n = len(z_all)
+    if n < 3:
+        raise ProtocolStateError(f"expected n >= 3 broadcast values, got {n}")
+    if not 1 <= index <= n:
+        raise ProtocolStateError(f"party index {index} outside 1..{n}")
     ops = actions._ops(platform)
     (x,) = ops.from_g((x,))
     return list(ops.g_tuple(_ladder(ops, x, ops.from_g(z_all), index)))
@@ -285,6 +292,27 @@ class SessionResult:
     internals: SessionInternals
 
 
+def _session_rounds(ops, n: int, rng: Random, pair_key_source: PairKeySource | None = None):
+    """Rounds 1-4 for all n parties at once, on backend elements: the
+    secrets, then the pair keys, drawn from ``rng``; then every party's v,
+    w and (X, Y, Z). Returns (secrets, pair_keys, vs, ws, xs, ys, zs).
+    ``run_session`` and the oracle game's ``execute`` both run a session
+    through this."""
+    secrets = [ops.draw_h(rng) for _ in range(n)]
+    pair_keys = ops.pair_keys(pair_key_source, n, rng)
+    if len(pair_keys) != n:
+        raise ProtocolStateError(f"pair-key source produced {len(pair_keys)} keys, wanted {n}")
+    # party i's neighbors' values: c_{i-1}, v_{i-1}, w_{i+1}
+    vs = [_round2(ops, h) for h in secrets]
+    v_prev = _rotated(vs, -1)
+    ws = [_round3(ops, c, h, v) for c, h, v in zip(_rotated(pair_keys, -1), secrets, v_prev)]
+    xs, ys, zs = zip(*(
+        _round4(ops, h, v, c, w)
+        for h, v, c, w in zip(secrets, v_prev, pair_keys, _rotated(ws, 1))
+    ))
+    return secrets, pair_keys, vs, ws, xs, ys, zs
+
+
 def run_session(config: SessionConfig) -> SessionResult:
     """Execute one full run over fresh parties with a deterministic schedule:
     all of round r is delivered before any round r+1 computation starts.
@@ -295,20 +323,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     if n < 3:
         raise RegimeError(f"party count {n} < 3 (pair keys and the key ordering degenerate)")
     ops = actions._ops(platform)
-    rng = Random(config.rng_seed)
-    secrets = [ops.draw_h(rng) for _ in range(n)]
-    pair_keys = ops.pair_keys(config.pair_key_source, n, rng)
-    if len(pair_keys) != n:
-        raise ProtocolStateError(f"pair-key source produced {len(pair_keys)} keys, wanted {n}")
-
-    # party i's neighbors' values: c_{i-1}, v_{i-1}, w_{i+1}
-    vs = [_round2(ops, h) for h in secrets]
-    v_prev = _rotated(vs, -1)
-    ws = [_round3(ops, c, h, v) for c, h, v in zip(_rotated(pair_keys, -1), secrets, v_prev)]
-    xs, ys, zs = zip(*(
-        _round4(ops, h, v, c, w)
-        for h, v, c, w in zip(secrets, v_prev, pair_keys, _rotated(ws, 1))
-    ))
+    secrets, pair_keys, vs, ws, xs, ys, zs = _session_rounds(
+        ops, n, Random(config.rng_seed), config.pair_key_source)
 
     g_tuple, g_bytes, wrap_g = ops.g_tuple, ops.g_bytes, platform.target.wrap
     transcript = Transcript(platform.tag, n, g_tuple(vs), g_tuple(ws), g_tuple(zs))

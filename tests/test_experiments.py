@@ -56,3 +56,51 @@ def test_tolerance_override_reaches_the_suite():
     res = run_experiment("real_vs_distprime_dh", "s4_conj", s=1, trials=1200, seed=3,
                          tolerance=0.5)
     assert res["tolerance"] == 0.5 and res["pass"]
+
+
+# Whole results of the two oracle-game suites, recorded at tool_version 0.2.0:
+# any drift in the games' draws or in a result field fails here.
+C23_DCOSET_DESCRIPTOR = {
+    "kind": "double_coset",
+    "params": {
+        "family": "perm", "degree": 23, "group": [[*range(2, 24), 1]], "group_tag": "c23",
+        "left": "group", "right": [], "right_tag": "triv23", "base": [*range(2, 24), 1],
+        "tag": "c23_dcoset",
+    },
+}
+
+
+def test_fake_key_independence_result_is_pinned():
+    res = run_experiment("fake_key_independence", "c23_dcoset", n=4, trials=6, seed=5,
+                         null_trials=2_000)
+    assert res == {
+        "manifest": {"experiment": "fake_key_independence", "platform": "c23_dcoset",
+                     "platform_descriptor": C23_DCOSET_DESCRIPTOR, "trials": 6, "seed": 5,
+                     "n": 4},
+        "tool_version": "0.2.0",
+        "statistic": 0.0,
+        "tolerance": 0.0,
+        "pass": True,
+        "uniform_transcripts": 6,
+        "null_advantage": 0.018999999999999906,
+        "null_trials": 2000,
+        "null_bound": 0.06708203932499368,
+    }
+
+
+def test_ddh_toy_advantage_result_is_pinned():
+    res = run_experiment("ddh_toy_advantage", "bd23", n=3, trials=400, seed=9)
+    assert res == {
+        "manifest": {"experiment": "ddh_toy_advantage", "platform": "bd_modp[23,2,11]",
+                     "platform_descriptor": {"kind": "bd_modp",
+                                             "params": {"p": 23, "g": 2, "q": 11}},
+                     "trials": 400, "seed": 9, "n": 3},
+        "tool_version": "0.2.0",
+        "statistic": 0.9299999999999999,
+        "tolerance": 0.8,
+        "pass": True,
+        "direction": ">=",
+        "successes": 386,
+        "ci95": [0.8930761543600204, 0.9669238456399795],
+        "q_ex": 400,
+    }

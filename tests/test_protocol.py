@@ -298,6 +298,23 @@ def test_ladder_shift_relation():
                 assert nxt[k - 1] == cur[k]
 
 
+def test_key_ladder_refuses_an_index_outside_the_cycle():
+    res = run_session(SessionConfig(S4, 5, 12))
+    x, zs = res.internals.x[0], res.transcript.z
+    assert len(key_ladder(S4, x, zs, 5)) == 5
+    for index in (0, 6, -1):
+        with pytest.raises(ProtocolStateError):
+            key_ladder(S4, x, zs, index)
+
+
+def test_key_ladder_refuses_fewer_than_three_broadcasts():
+    res = run_session(SessionConfig(S4, 5, 12))
+    x, zs = res.internals.x[0], res.transcript.z
+    for count in (0, 1, 2):
+        with pytest.raises(ProtocolStateError):
+            key_ladder(S4, x, zs[:count], 1)
+
+
 def test_telescoping():
     rng = Random(4)
     for name in ("bd23", "s4_conj", "sl23_dcoset"):

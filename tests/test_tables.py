@@ -1,11 +1,12 @@
 """The integer-table path against the byte-level reference path.
 
-Tabulable platforms draw their samples and run their sessions in index
-space and condition keys on the action table. Every sampler and the key
-exchange are driven here once over the tables and once over payloads (the
-private ``actions._ops`` backend choice), on every preset, and must give the
-same bytes and leave the RNG in the same state after every draw. The
-vectorized table builds are checked against the element-by-element loops.
+Tabulable platforms draw their samples and run their sessions and oracle
+games in index space and condition keys on the action table. Every sampler,
+the key exchange and the oracle game are driven here once over the tables
+and once over payloads (the private ``actions._ops`` backend choice), on
+every preset, and must give the same bytes and leave the RNG in the same
+state after every draw. The vectorized table builds are checked against the
+element-by-element loops.
 """
 
 from random import Random
@@ -27,7 +28,7 @@ from bdga.groups import (
     generated_mat2_group,
     generated_perm_group,
 )
-from bdga.harness import derive_seed
+from bdga.harness import OracleEnv, derive_seed
 from bdga.platforms import PRESET_NAMES, preset
 from bdga.protocol import (
     PartyState,
@@ -325,6 +326,66 @@ def test_table_session_rejects_foreign_elements():
         party.receive_round2(pf.base_p, bytes([1, 1, 2, 3]))
     with pytest.raises(ForeignElementError):
         party.receive_round4([pf.base_p, pf.base_p, b"\x05\x01\x02\x03"])
+
+
+def game_script(pf):
+    """OracleEnv games at n = 3..7 over 40 seeds, with real and with fake
+    keys, some with a second session: per game, the transcripts, every
+    record's (pid, sid, key), the Test value, the hidden bit and the
+    environment's RNG state at the end."""
+    out = []
+    for seed in range(40):
+        for fake in (False, True):
+            env = OracleEnv(pf, derive_seed(seed, "game"), fake_keys=fake)
+            sessions = [[(f"U{i}", seed) for i in range(3 + seed % 5)]]
+            if seed % 3 == 0:
+                sessions.append([(f"V{i}", seed) for i in range(3)])
+            transcripts = [env.execute(instances) for instances in sessions]
+            records = [env.record(*instance) for instances in sessions for instance in instances]
+            value = env.test(*sessions[-1][seed % 3])
+            out.append((transcripts, [(r.pid, r.sid, r.sk) for r in records], value,
+                        env.hidden_bit, env.rng.getstate()))
+    return out
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_games_on_tables_match_bytes(name, monkeypatch):
+    pf = preset(name)
+    on_tables = game_script(pf)
+    with monkeypatch.context() as m:
+        m.setattr(actions, "_ops", byte_ops)
+        on_bytes = game_script(pf)
+    assert len(on_tables) == len(on_bytes) == 80
+    for i, (got, want) in enumerate(zip(on_tables, on_bytes)):
+        assert got == want, (name, i)
+    for transcripts, records, _, _, _ in on_tables:
+        assert {sid for _, sid, _ in records} == {t.sid for t in transcripts}
+    # both values of the hidden bit, so Test returned keys and uniform draws
+    assert {bit for *_, bit, _ in on_tables} == {0, 1}
+
+
+def test_game_runs_the_session_of_run_session_on_bytes():
+    """execute's transcript and keys are run_session's at the session seed
+    the environment draws next, on a platform too large to tabulate; fake
+    keys, and Test's uniform value, are the target's samples drawn after
+    it."""
+    pf = platform_named("s10_conj")
+    for seed in range(16):
+        fake = seed % 2 == 1
+        env = OracleEnv(pf, seed, fake_keys=fake)
+        ahead = Random()
+        ahead.setstate(env.rng.getstate())
+        instances = [(f"U{i}", 0) for i in range(3 + seed % 4)]
+        transcript = env.execute(instances)
+        res = run_session(SessionConfig(pf, len(instances), ahead.getrandbits(63)))
+        assert transcript == res.transcript
+        keys = [pf.target.sample(ahead) for _ in instances] if fake else list(res.keys)
+        records = [env.record(*instance) for instance in instances]
+        assert [r.sk for r in records] == keys
+        assert {r.sid for r in records} == {res.transcript.sid}
+        value = env.test(*instances[0])
+        assert value == (keys[0] if env.hidden_bit else pf.target.sample(ahead))
+        assert env.rng.getstate() == ahead.getstate()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
