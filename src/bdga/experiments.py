@@ -11,6 +11,7 @@ stream seeded by (seed, side) and bucket the rows by a 64-bucket hash.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 from typing import Callable
@@ -22,7 +23,6 @@ from .harness import OracleEnv, derive_seed, estimate_advantage
 from .platforms import preset
 from .protocol import oracle_key
 from .security_lab import (
-    Batched,
     DistanceEstimate,
     conditional_is_uniform,
     exact_key_conditional,
@@ -80,7 +80,7 @@ def _tv_suite(
     slack: float = 0.0,
     **extras,
 ) -> dict:
-    est = tv_distance(Batched(sampler_a), Batched(sampler_b), trials, hash_partition(64), seed)
+    est = tv_distance(sampler_a, sampler_b, trials, hash_partition(64), seed)
     tol = tolerance + slack
     manifest = _manifest(name, platform, trials, seed, s=s, n=hybrid_regime(s))
     return _result(manifest, est, est.statistic, tol, est.statistic <= tol,
@@ -310,9 +310,11 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
     for label, value in (("n", n), ("s", s)):
         if value is not None and type(value) is not int:
             raise BdgaError(f"{label} must be an integer, got {value!r}")
-    if tolerance is not None and (type(tolerance) is bool
-                                  or not isinstance(tolerance, (int, float))):
-        raise BdgaError(f"tolerance must be a real number, got {tolerance!r}")
+    if tolerance is not None:
+        if type(tolerance) is bool or not isinstance(tolerance, (int, float)):
+            raise BdgaError(f"tolerance must be a real number, got {tolerance!r}")
+        if not math.isfinite(tolerance):
+            raise BdgaError(f"tolerance must be finite, got {tolerance!r}")
     defaults = EXPERIMENT_DEFAULTS[name]
     if platform is None:
         platform = defaults["platform"]

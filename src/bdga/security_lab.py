@@ -31,15 +31,14 @@ sample, drawn exactly as the byte-level groups draw. An
 
 ``tv_distance`` estimates the total-variation distance between two samplers
 over a finite bucket partition (a sound lower bound on the true distance).
-The TV suites draw each side as one batch (``Batched``) and hash the rows;
-any other sampler is drawn one trial at a time. ``exact_key_conditional``
-computes, by exhaustive enumeration, the exact conditional distribution of
-the key given a fake transcript.
+Each side is drawn as one batch of index rows and every ``Partition`` maps
+those rows to buckets, so every TV statistic buckets batch rows.
+``exact_key_conditional`` computes, by exhaustive enumeration, the exact
+conditional distribution of the key given a fake transcript.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 from random import Random
@@ -130,9 +129,6 @@ class DistributionSample:
     transcript: Transcript
     key: GroupElement
     internals: dict
-
-    def canonical_bytes(self) -> bytes:
-        return self.transcript.canonical_bytes() + self.key.payload
 
 
 def _assemble(ops, n: int, vs: Sequence, links: Sequence, cs: Sequence,
@@ -352,21 +348,16 @@ def sample_dist(
 
 @dataclass(frozen=True)
 class Partition:
-    """``assign`` buckets one sample; ``assign_rows``, where given, buckets a
-    batch's index rows at once (for ``Batched`` samplers)."""
+    """A map from a batch's (trials, 3n + 1) index rows to one bucket per
+    row, each in [0, buckets). Columns [0, n) hold v, [n, 2n) w, [2n, 3n) Z
+    and column 3n the key, as indices into the target's table."""
 
     label: str
     buckets: int
-    assign: Callable[[DistributionSample], int]
-    assign_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, sample: DistributionSample | np.ndarray) -> int | np.ndarray:
-        """The bucket of one sample, or the buckets of a batch's rows."""
-        if not isinstance(sample, np.ndarray):
-            return self.assign(sample)
-        if self.assign_rows is None:
-            raise ValueError(f"partition {self.label} cannot bucket index rows")
-        return self.assign_rows(sample)
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        return self.fn(rows)
 
 
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
@@ -395,43 +386,41 @@ def _hash_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def hash_partition(buckets: int = 64) -> Partition:
-    """A generic hash of the whole sample: sha256 of its canonical bytes per
-    sample, ``_hash_rows`` per batch row."""
-    def assign(sample: DistributionSample) -> int:
-        digest = hashlib.sha256(sample.canonical_bytes()).digest()
-        return int.from_bytes(digest[:8], "big") % buckets
-
-    def assign_rows(rows: np.ndarray) -> np.ndarray:
+    """A generic hash of the whole row (``_hash_rows``)."""
+    def fn(rows: np.ndarray) -> np.ndarray:
         return (_hash_rows(rows) % np.uint64(buckets)).astype(np.intp)
 
-    return Partition(f"hash{buckets}", buckets, assign, assign_rows)
+    return Partition(f"hash{buckets}", buckets, fn)
 
 
 def element_value_partition(platform: GroupAction, field: str, index: int,
                             buckets: int = 64) -> Partition:
-    """Bucket by the exact value of one transcript position (or the key):
-    a sharp white-box partition for small target groups."""
+    """Bucket by the exact value of one transcript position (or the key,
+    where ``index`` only has to lie in [0, n)): its table index mod
+    ``buckets``, a sharp white-box partition for small target groups."""
+    if field not in ("v", "w", "z", "sk"):
+        raise ValueError(f"field must be one of v, w, z, sk, got {field!r}")
     buckets = min(buckets, platform.target.order)
 
-    def assign(sample: DistributionSample) -> int:
-        if field == "sk":
-            payload = sample.key.payload
-        else:
-            payload = getattr(sample.transcript, field)[index]
-        return platform.target.index_of(payload) % buckets
+    def fn(rows: np.ndarray) -> np.ndarray:
+        n = (rows.shape[1] - 1) // 3
+        if not 0 <= index < n:
+            raise ValueError(f"index {index} outside [0, {n})")
+        column = 3 * n if field == "sk" else "vwz".index(field) * n + index
+        return rows[:, column].astype(np.intp) % buckets
 
-    return Partition(f"{field}[{index}]%{buckets}", buckets, assign)
+    return Partition(f"{field}[{index}]%{buckets}", buckets, fn)
 
 
 def identity_count_partition(platform: GroupAction, buckets: int = 8) -> Partition:
     """Bucket by how many broadcast w values equal the target identity."""
-    ident = platform.target.identity_p
+    ident = platform.tables.G.identity
 
-    def assign(sample: DistributionSample) -> int:
-        count = sum(1 for p in sample.transcript.w if p == ident)
-        return min(count, buckets - 1)
+    def fn(rows: np.ndarray) -> np.ndarray:
+        n = (rows.shape[1] - 1) // 3
+        return np.minimum((rows[:, n:2 * n] == ident).sum(axis=1), buckets - 1)
 
-    return Partition(f"w-identity-count%{buckets}", buckets, assign)
+    return Partition(f"w-identity-count%{buckets}", buckets, fn)
 
 
 @dataclass(frozen=True)
@@ -452,46 +441,27 @@ class DistanceEstimate:
         }
 
 
-Sampler = Callable[[Random], DistributionSample]
-
-
-@dataclass(frozen=True)
-class Batched:
-    """A sampler that draws a whole side at once: called with an
-    IndexStream, ``draw`` returns that side's index rows (every sampler
-    above does, through the batch backend)."""
-
-    draw: Callable[[IndexStream], np.ndarray]
-
-
 def tv_distance(
-    sampler_a: Sampler | Batched,
-    sampler_b: Sampler | Batched,
+    draw_a: Callable[[IndexStream], np.ndarray],
+    draw_b: Callable[[IndexStream], np.ndarray],
     trials: int,
     partition: Partition,
     seed: int,
     bootstrap_reps: int = 200,
 ) -> DistanceEstimate:
     """Half the L1 distance between the two empirical bucket distributions,
-    with a bootstrap 95% interval. A plain sampler is called once per trial,
-    each with its own derived RNG stream (Random(derive_seed(seed, side,
-    t))), so trials are order-independent. A ``Batched`` sampler draws its
-    side's trials at once from one IndexStream seeded by derive_seed(seed,
-    side), bucketed by the partition's ``assign_rows``. Calibrated for >=
-    10^3 trials and <= 64 buckets; the expected noise floor for identical
-    samplers is about 0.57 * sqrt(buckets / trials)."""
+    with a bootstrap 95% interval. Each side's draw is called once, with an
+    IndexStream of ``trials`` draws seeded by derive_seed(seed, side) for
+    side "a" or "b", and returns that side's index rows (every sampler above
+    does, through the batch backend); the partition buckets the rows.
+    Calibrated for >= 10^3 trials and <= 64 buckets; the expected noise
+    floor for identical samplers is about 0.57 * sqrt(buckets / trials)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = np.zeros((2, partition.buckets), dtype=np.int64)
-    for side, sampler in ((0, sampler_a), (1, sampler_b)):
-        label = "a" if side == 0 else "b"
-        if isinstance(sampler, Batched):
-            rows = sampler.draw(IndexStream(derive_seed(seed, label), trials))
-            counts[side] = np.bincount(partition(rows), minlength=partition.buckets)
-            continue
-        for t in range(trials):
-            sample = sampler(Random(derive_seed(seed, label, t)))
-            counts[side, partition(sample)] += 1
+    for side, (label, draw) in enumerate((("a", draw_a), ("b", draw_b))):
+        rows = draw(IndexStream(derive_seed(seed, label), trials))
+        counts[side] = np.bincount(partition(rows), minlength=partition.buckets)
     occupied = int(np.count_nonzero(counts.sum(axis=0)))
     if occupied <= 1:
         warnings.warn("degenerate partition: all samples in one bucket", stacklevel=2)

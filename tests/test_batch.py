@@ -30,15 +30,14 @@ from bdga.experiments import EXPERIMENTS, run_experiment
 from bdga.platforms import PRESET_NAMES, make_platform, preset
 from bdga.protocol import uniform_pair_keys
 from bdga.security_lab import (
-    Batched,
-    hash_partition,
+    element_value_partition,
+    identity_count_partition,
     sample_ddh_ga,
     sample_dist,
     sample_dist_prime,
     sample_fake,
     sample_fake_prime,
     sample_real,
-    tv_distance,
 )
 
 TRIALS = 60
@@ -194,23 +193,38 @@ def test_suite_result_is_deterministic(suite):
     assert runs[0] != runs[2]
 
 
-def test_batch_identical_samplers_is_noise_floor():
-    # the batch twin of test_tv_identical_samplers_is_noise_floor
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_row_partitions_bucket_as_the_sample_values(name):
+    # a per-trial sample's index row buckets as its payloads do: a value
+    # partition by the payload's target index, the identity count by the w's
+    pf = preset(name)
+    G = pf.target
+    samples = [sampler(Random(seed)) for seed in range(3)
+               for sampler in (lambda rng: sample_real(pf, N, rng),
+                               lambda rng: sample_fake(pf, N, rng))]
+    rows = np.array([index_row(pf, sample) for sample in samples])
+    for buckets in (64, 5):
+        for field in ("v", "w", "z", "sk"):
+            for index in range(N):
+                part = element_value_partition(pf, field, index, buckets)
+                want = [G.index_of(sample.key.payload if field == "sk"
+                                   else getattr(sample.transcript, field)[index])
+                        % part.buckets for sample in samples]
+                assert part(rows).tolist() == want, (field, index, buckets)
+    for buckets in (8, 2):
+        want = [min(sum(w == G.identity_p for w in sample.transcript.w), buckets - 1)
+                for sample in samples]
+        assert identity_count_partition(pf, buckets)(rows).tolist() == want, buckets
+
+
+def test_element_value_partition_rejects_field_and_index():
     pf = preset("bd23")
-
-    def fake(rng):
-        return sample_fake(pf, N, rng)
-
-    est = tv_distance(Batched(fake), Batched(fake), 4000, hash_partition(4), seed=19)
-    assert est.statistic <= 2.0 / 4000**0.5
-    assert est.ci95[0] <= est.ci95[1]
-
-
-def test_batch_needs_a_row_partition():
-    part = security_lab.Partition("per-sample only", 2, lambda s: 0)
-    fake = Batched(lambda rng: sample_fake(preset("bd23"), N, rng))
     with pytest.raises(ValueError):
-        tv_distance(fake, fake, 10, part, seed=0)
+        element_value_partition(pf, "key", 0)
+    rows = sample_real(pf, N, IndexStream(3, 10))
+    for index in (-1, N):
+        with pytest.raises(ValueError):
+            element_value_partition(pf, "w", index)(rows)
 
 
 def test_hash_rows_reads_every_field():

@@ -224,6 +224,30 @@ def test_experiment_manifest_zero_trials_exits_2(tmp_path, capsys, manifest, mes
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+def test_experiment_non_finite_tolerance_exits_2(tmp_path, capsys, tolerance):
+    out = tmp_path / "r.json"
+    code = run_cli("experiment", "--experiment", "real_vs_distprime_dh", "--platform", "bd23",
+                   "--s", "1", "--trials", "200", f"--tolerance={tolerance}", "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tolerance must be finite")
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not out.exists()
+
+
+def test_experiment_manifest_infinite_tolerance_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**TOY_MANIFEST, "tolerance": float("inf")}))
+    assert "Infinity" in path.read_text()
+    out = tmp_path / "r.json"
+    assert run_cli("experiment", "--manifest", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tolerance must be finite")
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not out.exists()
+
+
 def test_experiment_ddh_toy_advantage_two_parties_exits_2(capsys):
     assert run_cli("experiment", "--experiment", "ddh_toy_advantage", "--n", "2") == 2
     captured = capsys.readouterr()

@@ -104,3 +104,41 @@ def test_ddh_toy_advantage_result_is_pinned():
         "ci95": [0.8930761543600204, 0.9669238456399795],
         "q_ex": 400,
     }
+
+
+# Whole results of the four TV suites on s4_conj (s = 1, 3000 trials, seed 11),
+# recorded at tool_version 0.2.0: any drift in the batch draws, the row hash
+# or the bootstrap fails here.
+S4_CONJ_DESCRIPTOR = {
+    "kind": "conjugation",
+    "params": {"family": "perm", "degree": 4, "group": "full", "subgroup": "group",
+               "base": [2, 3, 4, 1], "tag": "s4_conj"},
+}
+TV_SUITE_PINS = {
+    "real_vs_distprime_dh": {
+        "statistic": 0.07633333333333334, "tolerance": 0.02, "pass": False,
+        "ci95": [0.09465833333333333, 0.12973333333333334], "slack": 0.0},
+    "fakeprime_vs_distprime_rand": {
+        "statistic": 0.07833333333333334, "tolerance": 0.18666666666666665, "pass": True,
+        "ci95": [0.09565833333333333, 0.133025], "slack": 0.16666666666666666},
+    "fakeprime_vs_dist_dh": {
+        "statistic": 0.07466666666666666, "tolerance": 0.02, "pass": False,
+        "ci95": [0.09096666666666667, 0.12766666666666665], "slack": 0.0,
+        "closing_link": "r"},
+    "fake_vs_dist_rand": {
+        "statistic": 0.08566666666666667, "tolerance": 0.02, "pass": False,
+        "ci95": [0.0983, 0.136375], "slack": 0.0, "closing_link": "r"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(TV_SUITE_PINS))
+def test_tv_suite_result_is_pinned(suite):
+    res = run_experiment(suite, "s4_conj", s=1, trials=3000, seed=11)
+    assert res == {
+        "manifest": {"experiment": suite, "platform": "s4_conj",
+                     "platform_descriptor": S4_CONJ_DESCRIPTOR, "trials": 3000, "seed": 11,
+                     "s": 1, "n": 8},
+        "tool_version": "0.2.0",
+        "partition": "hash64",
+        **TV_SUITE_PINS[suite],
+    }

@@ -1,7 +1,9 @@
 """Distribution samplers, challenge tuples, distance estimation, and the
 exact key-conditional analysis."""
 
+import re
 import warnings
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 import scipy.stats
 from brute_force import brute_force_conditional
 
+from bdga.actions import IndexStream
 from bdga.errors import DegenerateExclusionError, EnumerationCapError, RegimeError
 from bdga.harness import derive_seed
 from bdga.platforms import PRESET_NAMES, make_platform, preset
@@ -329,8 +332,8 @@ def test_samplers_are_deterministic_per_seed():
 
 
 def test_tv_identical_samplers_is_noise_floor():
-    def fake(rng):
-        return sample_fake(BD, 8, rng)
+    def fake(stream):
+        return sample_fake(BD, 8, stream)
 
     est = tv_distance(fake, fake, 4000, hash_partition(4), seed=19)
     assert est.statistic <= 2.0 / 4000**0.5
@@ -338,32 +341,35 @@ def test_tv_identical_samplers_is_noise_floor():
 
 
 def test_tv_point_mass_vs_uniform():
-    def point(rng):
-        return 0
+    def point(stream):
+        return np.zeros(stream.trials, dtype=np.intp)
 
-    def coin(rng):
-        return rng.randrange(2)
+    def coin(stream):
+        return stream.generator.integers(2, size=stream.trials)
 
-    part = Partition("toy", 2, lambda s: s)
+    part = Partition("toy", 2, lambda values: values)
     est = tv_distance(point, coin, 2000, part, seed=20)
     assert abs(est.statistic - 0.5) < 0.05
 
 
 def test_tv_degenerate_partition_warns():
-    part = Partition("const", 4, lambda s: 0)
+    def zeros(stream):
+        return np.zeros(stream.trials, dtype=np.intp)
+
+    part = Partition("const", 4, np.zeros_like)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = tv_distance(lambda r: 0, lambda r: 0, 50, part, seed=21)
+        est = tv_distance(zeros, zeros, 50, part, seed=21)
     assert est.statistic == 0.0
     assert any("degenerate" in str(w.message) for w in caught)
 
 
 def test_tv_real_vs_fake_positive_and_seed_stable():
-    def real(rng):
-        return sample_real(BD, 8, rng)
+    def real(stream):
+        return sample_real(BD, 8, stream)
 
-    def fake(rng):
-        return sample_fake(BD, 8, rng)
+    def fake(stream):
+        return sample_fake(BD, 8, stream)
 
     stats = [
         tv_distance(real, fake, 3000, hash_partition(64), seed=s).statistic for s in (1, 2)
@@ -375,11 +381,11 @@ def test_tv_real_vs_fake_positive_and_seed_stable():
 def test_identity_count_partition_separates_real_from_fake():
     # honest links never hit the identity on this platform, fake links do;
     # the white-box partition sees what the hash partition cannot
-    def real(rng):
-        return sample_real(BD, 8, rng)
+    def real(stream):
+        return sample_real(BD, 8, stream)
 
-    def fake(rng):
-        return sample_fake(BD, 8, rng)
+    def fake(stream):
+        return sample_fake(BD, 8, stream)
 
     part = identity_count_partition(BD)
     est = tv_distance(real, fake, 2000, part, seed=22)
@@ -392,8 +398,16 @@ def test_identity_count_partition_separates_real_from_fake():
 def test_element_value_partition_buckets_by_value():
     part = element_value_partition(BD, "w", 0, buckets=64)
     assert part.buckets == 11
-    sample = sample_real(BD, 8, Random(23))
-    assert 0 <= part(sample) < 11
+    buckets = part(sample_real(BD, 8, IndexStream(23, 100)))
+    assert ((0 <= buckets) & (buckets < 11)).all()
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    assert capsys.readouterr().out.startswith("hash64 ")
 
 
 def _perm_parity(p: bytes) -> int:
@@ -418,13 +432,14 @@ def test_hybrid_closeness_fails_publicly_on_conjugation():
     # for a 4-cycle base), so Z_4 is always even under the shifted sampler
     # while the fully-randomized hybrid mixes parities: a public, sharp
     # separator that the hash partition cannot see
-    part = Partition("parity(Z4)", 2, lambda s: _perm_parity(s.transcript.z[3]))
+    parity = np.array([_perm_parity(p) for p in S4.tables.G.elements])
+    part = Partition("parity(Z4)", 2, lambda rows: parity[rows[:, 2 * 8 + 3]])
 
-    def fp(rng):
-        return sample_fake_prime(S4, 1, rng)
+    def fp(stream):
+        return sample_fake_prime(S4, 1, stream)
 
-    def dpr(rng):
-        return sample_dist_prime(S4, 1, sample_ddh_ga(S4, rng, "random_excluded"), rng)
+    def dpr(stream):
+        return sample_dist_prime(S4, 1, sample_ddh_ga(S4, stream, "random_excluded"), stream)
 
     est = tv_distance(fp, dpr, 3000, part, seed=31)
     assert est.statistic > 0.4
@@ -438,11 +453,11 @@ def test_hybrid_closeness_holds_on_transitive_platform():
     pf = preset("sl23_dcoset")
     part = element_value_partition(pf, "z", 3, buckets=24)
 
-    def fp(rng):
-        return sample_fake_prime(pf, 1, rng)
+    def fp(stream):
+        return sample_fake_prime(pf, 1, stream)
 
-    def dpr(rng):
-        return sample_dist_prime(pf, 1, sample_ddh_ga(pf, rng, "random_excluded"), rng)
+    def dpr(stream):
+        return sample_dist_prime(pf, 1, sample_ddh_ga(pf, stream, "random_excluded"), stream)
 
     est = tv_distance(fp, dpr, 4000, part, seed=32)
     assert est.statistic < 0.07  # expected noise floor ~ 0.57*sqrt(24/4000)
@@ -527,14 +542,15 @@ def _loop_bootstrap_ci(counts, trials, seed, reps=200):
 def test_tv_bootstrap_matches_per_rep_loop(seed, trials, buckets, spread):
     # draws land in the first ``spread`` buckets only, so spread < buckets
     # leaves empty buckets on both sides
-    part = Partition("mod", buckets, lambda v: v % spread)
+    part = Partition("mod", buckets, lambda values: values % spread)
 
     def side(offset):
-        return lambda rng: rng.randrange(spread) + offset
+        return lambda stream: stream.generator.integers(spread, size=stream.trials) + offset
 
     est = tv_distance(side(0), side(1), trials, part, seed=seed)
-    counts = np.zeros((2, buckets), dtype=np.int64)
-    for s, label, offset in ((0, "a", 0), (1, "b", 1)):
-        for t in range(trials):
-            counts[s, part(side(offset)(Random(derive_seed(seed, label, t))))] += 1
+    counts = np.array([
+        np.bincount(part(side(offset)(IndexStream(derive_seed(seed, label), trials))),
+                    minlength=buckets)
+        for label, offset in (("a", 0), ("b", 1))
+    ])
     assert est.ci95 == _loop_bootstrap_ci(counts, trials, seed)
