@@ -38,6 +38,7 @@ from bdga.security_lab import (
     sample_fake,
     sample_fake_prime,
     sample_real,
+    tv_distance,
 )
 
 TRIALS = 60
@@ -191,6 +192,22 @@ def test_suite_result_is_deterministic(suite):
                        sort_keys=True) for seed in (11, 11, 12)]
     assert runs[0] == runs[1]
     assert runs[0] != runs[2]
+
+
+def test_batch_identical_samplers_is_noise_floor():
+    # identical batch samplers sit at the noise floor under the sharp row
+    # partitions too, not only under the whole-row hash
+    pf = preset("bd23")
+
+    def fake(stream):
+        return sample_fake(pf, N, stream)
+
+    for seed, part in enumerate((element_value_partition(pf, "sk", 0, 4),
+                                 element_value_partition(pf, "w", N - 1, 4),
+                                 identity_count_partition(pf, 4)), start=19):
+        est = tv_distance(fake, fake, 4000, part, seed=seed)
+        assert est.statistic <= 2.0 / 4000**0.5, part.label
+        assert est.ci95[0] <= est.ci95[1]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
