@@ -103,7 +103,6 @@ class GroupAction:
         self.acting = acting
         self.target = target
         self.base_p = base_p
-        self._base_stab: frozenset[bytes] | None = None
         self.descriptor: dict = {}
         self.tabulable = max(acting.order, target.order) ** 2 <= ENUMERATION_CAP
 
@@ -162,11 +161,10 @@ class GroupAction:
         return frozenset(map(self.acting.wrap, itertools.compress(t.H.elements, fixes)))
 
     def base_stabilizer_p(self) -> frozenset[bytes]:
-        if self._base_stab is None:
-            self._base_stab = frozenset(
-                h for h in self.acting.elements_p() if self.apply_p(h, self.base_p) == self.base_p
-            )
-        return self._base_stab
+        """The acting elements that fix the base point, read off the action
+        table's base column."""
+        t = self.tables
+        return frozenset(itertools.compress(t.H.elements, t.act[:, t.base] == t.base))
 
     # -- validation ------------------------------------------------------------
 
@@ -271,14 +269,6 @@ class _TrialOps:
     def __init__(self, platform: GroupAction):
         self.platform = platform
         self._transcript, self._sample, self._tuple = _records()
-
-    def pair_keys(self, source, n: int, rng: Random) -> list:
-        """n pair keys: drawn here when ``source`` is None, else the payloads
-        the source returns, checked through ``from_h``."""
-        if source is None:
-            draw = self.draw_h
-            return [draw(rng) for _ in range(n)]
-        return self.from_h(source(self.platform, n, rng))
 
     def draw_h_outside(self, rng: Random, points: tuple):
         """An acting element that moves the base point outside ``points``:
@@ -421,8 +411,7 @@ class IndexStream:
 class _BatchOps:
     """Element operations on index arrays, one entry per trial of an
     IndexStream: the lookups of ``_IndexOps``, made by numpy over a whole
-    batch. A batch draws only the default pair keys; a pair-key source
-    returns payloads for one trial."""
+    batch."""
 
     def __init__(self, platform: GroupAction):
         t = platform.tables
@@ -461,11 +450,6 @@ class _BatchOps:
 
     def ginv(self, a) -> np.ndarray:
         return np.asarray(self._G.inv)[a]
-
-    def pair_keys(self, source, n: int, stream: IndexStream) -> list[np.ndarray]:
-        if source is not None:
-            raise ValueError("a batch draws the default pair keys only")
-        return [self.draw_h(stream) for _ in range(n)]
 
     @staticmethod
     def from_h(elements) -> list[np.ndarray]:

@@ -116,6 +116,8 @@ def cmd_verify(args) -> int:
         return 1
 
     n = transcript.n
+    if n < 3:
+        return fail("party count n < 3")
     if not (len(transcript.v) == len(transcript.w) == len(transcript.z) == n):
         return fail(f"message counts are not all {n}")
     target = platform.target

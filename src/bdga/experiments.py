@@ -39,6 +39,7 @@ from .security_lab import (
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_TOLERANCE = 0.02
+MAX_CANDIDATES = 100_000  # the exhaustive-search distinguisher's largest search
 
 
 def _result(manifest: dict, estimate: DistanceEstimate | None, statistic: float,
@@ -159,7 +160,12 @@ def fake_key_independence(platform, n, trials, seed, tolerance=0.0,
     """Exhaustively condition the key on sampled fake transcripts and compare
     with the uniform distribution, exactly; also score a coin-flipping
     distinguisher against the Test oracle with keys replaced by fresh
-    uniform elements."""
+    uniform elements.
+
+    ``null_advantage`` is fixed by the seeds alone: the distinguisher's coin
+    comes from its own seed and each hidden bit is its environment's first
+    draw, whatever ``execute`` and ``test`` return. Its games check only
+    that the oracles run without raising, not what the keys are."""
     worst = Fraction(0)
     uniform_count = 0
     for t in range(trials):
@@ -224,15 +230,15 @@ def make_cheating_distinguisher(n: int = 3):
     return distinguisher
 
 
-def make_exhaustive_search_distinguisher(platform: GroupAction, n: int = 3,
-                                         max_candidates: int = 100_000):
+def make_exhaustive_search_distinguisher(platform: GroupAction, n: int = 3):
     """Recovers every secret vector consistent with the public v values (the
     acting elements that move the base point to each, read once from the
     action table), recomputes the candidate keys, and guesses 1 iff the Test
     value is one of them. Near-perfect on toy parameters. Raises RegimeError
     for n < 3 and EnumerationCapError on a platform that is not tabulable,
     both here, before any game runs: every execute would fail, and an
-    all-failed run reads as advantage 1."""
+    all-failed run reads as advantage 1. A game with more than
+    MAX_CANDIDATES consistent secret vectors raises RegimeError."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
     t = platform.tables
@@ -247,8 +253,8 @@ def make_exhaustive_search_distinguisher(platform: GroupAction, n: int = 3,
         combos = 1
         for m in candidates_per_v:
             combos *= max(len(m), 1)
-        if combos > max_candidates:
-            raise RegimeError(f"search space {combos} exceeds {max_candidates}")
+        if combos > MAX_CANDIDATES:
+            raise RegimeError(f"search space {combos} exceeds {MAX_CANDIDATES}")
         keys = {oracle_key(platform, hs).payload for hs in itertools.product(*candidates_per_v)}
         value = env.test(*instances[0])
         return 1 if value.payload in keys else 0

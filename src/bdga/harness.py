@@ -110,9 +110,16 @@ class OracleEnv:
         return transcript
 
     def test(self, user: str, index: int) -> GroupElement:
+        """The single Test query. A second query raises TestUnavailableError;
+        an instance that is not hashable, such as (["A"], 0), raises
+        MalformedInstanceError and one with no accepted key
+        InstanceNotAcceptedError, both leaving the query unused."""
         if self.test_used:
             raise TestUnavailableError("the single Test query was already consumed")
-        rec = self._records.get((user, index))
+        try:
+            rec = self._records.get((user, index))
+        except TypeError:
+            raise MalformedInstanceError(f"{(user, index)!r} is not a (user, index) pair") from None
         if rec is None or not rec.acc:
             raise InstanceNotAcceptedError(f"instance {(user, index)} has not accepted a key")
         self.test_used = True

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import actions
 from .actions import GroupAction
@@ -251,27 +251,11 @@ def oracle_key(platform: GroupAction, secrets: Sequence[GroupElement | bytes]) -
     return target.wrap(key)
 
 
-PairKeySource = Callable[[GroupAction, int, Random], list[bytes]]
-
-
-def uniform_pair_keys(platform: GroupAction, n: int, rng: Random) -> list[bytes]:
-    """The default round-1 stand-in as a source: each neighboring pair shares
-    a fresh uniform element of the acting group, as payloads. A session or
-    sampler whose source is None makes the same draws, as elements of the
-    platform's backend (the same draws as ``sample_p``)."""
-    ops = actions._ops(platform)
-    return list(ops.h_tuple(ops.pair_keys(None, n, rng)))
-
-
 @dataclass
 class SessionConfig:
-    """``pair_key_source`` None draws uniform pair keys (``uniform_pair_keys``'s
-    draws) directly on the platform's backend."""
-
     platform: GroupAction
     n: int
     rng_seed: int
-    pair_key_source: PairKeySource | None = None
 
 
 @dataclass
@@ -292,16 +276,16 @@ class SessionResult:
     internals: SessionInternals
 
 
-def _session_rounds(ops, n: int, rng: Random, pair_key_source: PairKeySource | None = None):
-    """Rounds 1-4 for all n parties at once, on backend elements: the
-    secrets, then the pair keys, drawn from ``rng``; then every party's v,
-    w and (X, Y, Z). Returns (secrets, pair_keys, vs, ws, xs, ys, zs).
+def _session_rounds(ops, n: int, rng: Random):
+    """Rounds 1-4 for all n parties at once, on backend elements: the n
+    secrets, then the n pair keys (round 1's stand-in: each neighboring pair
+    shares a uniform acting element), drawn from ``rng``; then every party's
+    v, w and (X, Y, Z). Returns (secrets, pair_keys, vs, ws, xs, ys, zs).
     ``run_session`` and the oracle game's ``execute`` both run a session
     through this."""
-    secrets = [ops.draw_h(rng) for _ in range(n)]
-    pair_keys = ops.pair_keys(pair_key_source, n, rng)
-    if len(pair_keys) != n:
-        raise ProtocolStateError(f"pair-key source produced {len(pair_keys)} keys, wanted {n}")
+    draw_h = ops.draw_h
+    secrets = [draw_h(rng) for _ in range(n)]
+    pair_keys = [draw_h(rng) for _ in range(n)]
     # party i's neighbors' values: c_{i-1}, v_{i-1}, w_{i+1}
     vs = [_round2(ops, h) for h in secrets]
     v_prev = _rotated(vs, -1)
@@ -323,8 +307,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     if n < 3:
         raise RegimeError(f"party count {n} < 3 (pair keys and the key ordering degenerate)")
     ops = actions._ops(platform)
-    secrets, pair_keys, vs, ws, xs, ys, zs = _session_rounds(
-        ops, n, Random(config.rng_seed), config.pair_key_source)
+    secrets, pair_keys, vs, ws, xs, ys, zs = _session_rounds(ops, n, Random(config.rng_seed))
 
     g_tuple, g_bytes, wrap_g = ops.g_tuple, ops.g_bytes, platform.target.wrap
     transcript = Transcript(platform.tag, n, g_tuple(vs), g_tuple(ws), g_tuple(zs))

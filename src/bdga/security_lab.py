@@ -51,7 +51,7 @@ from .actions import GroupAction, IndexStream
 from .errors import DegenerateExclusionError, RegimeError
 from .groups import GroupElement
 from .harness import derive_seed
-from .protocol import PairKeySource, Transcript
+from .protocol import Transcript
 
 # a sampler's randomness: a Random for one sample, an IndexStream for a batch
 Rng = Random | IndexStream
@@ -149,9 +149,7 @@ def _assemble(ops, n: int, vs: Sequence, links: Sequence, cs: Sequence,
     return ops.sample(n, vs, ws, zs, sk, internals)
 
 
-def sample_real(
-    platform: GroupAction, n: int, rng: Rng, pair_keys: PairKeySource | None = None
-) -> DistributionSample | np.ndarray:
+def sample_real(platform: GroupAction, n: int, rng: Rng) -> DistributionSample | np.ndarray:
     """Honest run: same draw order as ``run_session``, so equal seeds give
     byte-identical transcripts and keys."""
     if n < 3:
@@ -159,7 +157,7 @@ def sample_real(
     ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     hs = [draw_h(rng) for _ in range(n)]
-    cs = ops.pair_keys(pair_keys, n, rng)
+    cs = [draw_h(rng) for _ in range(n)]
     vs = [act(h, g) for h in hs]
     links = [act(hmul(hs[k], hs[k - 1]), g) for k in range(n)]
     secrets = ops.h_tuple(hs)
@@ -185,16 +183,14 @@ def _randomized_indices(s: int) -> tuple[int, ...]:
     return tuple([1, 2, 3] + [3 * i + 3 for i in range(1, s + 1)])
 
 
-def sample_fake_prime(
-    platform: GroupAction, s: int, rng: Rng, pair_keys: PairKeySource | None = None
-) -> DistributionSample | np.ndarray:
+def sample_fake_prime(platform: GroupAction, s: int, rng: Rng) -> DistributionSample | np.ndarray:
     """Honest secrets and v's, but the links at the randomized positions are
     fresh uniform target elements."""
     n = hybrid_regime(s)
     ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
     hs = [draw_h(rng) for _ in range(n)]
-    cs = ops.pair_keys(pair_keys, n, rng)
+    cs = [draw_h(rng) for _ in range(n)]
     vs = [act(h, g) for h in hs]
     links = [act(hmul(hs[k], hs[k - 1]), g) for k in range(n)]
     randomized = _randomized_indices(s)
@@ -204,16 +200,14 @@ def sample_fake_prime(
     return _assemble(ops, n, vs, links, cs, internals)
 
 
-def sample_fake(
-    platform: GroupAction, n: int, rng: Rng, pair_keys: PairKeySource | None = None
-) -> DistributionSample | np.ndarray:
+def sample_fake(platform: GroupAction, n: int, rng: Rng) -> DistributionSample | np.ndarray:
     """Every link uniform; only the v's are tied to the drawn secrets."""
     if n < 3:
         raise RegimeError(f"party count {n} < 3")
     ops = actions._ops(platform, rng)
     draw_h, draw_g, act, g = ops.draw_h, ops.draw_g, ops.act, ops.g
     hs = [draw_h(rng) for _ in range(n)]
-    cs = ops.pair_keys(pair_keys, n, rng)
+    cs = [draw_h(rng) for _ in range(n)]
     vs = [act(h, g) for h in hs]
     links = [draw_g(rng) for _ in range(n)]
     internals = {"h": ops.h_tuple(hs), "random_links": tuple(range(n))}
@@ -221,11 +215,7 @@ def sample_fake(
 
 
 def sample_dist_prime(
-    platform: GroupAction,
-    s: int,
-    tup: DdhGaTuple,
-    rng: Rng,
-    pair_keys: PairKeySource | None = None,
+    platform: GroupAction, s: int, tup: DdhGaTuple, rng: Rng
 ) -> DistributionSample | np.ndarray:
     """Embed the challenge tuple across every third link. The per-slot
     effective secrets are recorded in internals["s"]; with a shaped tuple
@@ -243,7 +233,7 @@ def sample_dist_prime(
     betas = [draw_h(rng) for _ in range(s)]
     gammas = [draw_h(rng) for _ in range(s)]
     aux = [draw_h(rng) for _ in range(s)]
-    cs = ops.pair_keys(pair_keys, n, rng)
+    cs = [draw_h(rng) for _ in range(n)]
 
     slots: list = [None] * n  # effective secret for each v slot, 0-based
     slots[0] = hmul(y, b0)
@@ -286,7 +276,6 @@ def sample_dist(
     s: int,
     tup: DdhGaTuple,
     rng: Rng,
-    pair_keys: PairKeySource | None = None,
     closing_link: str = "r",
 ) -> DistributionSample | np.ndarray:
     """One hybrid later: the positions randomized in fake_prime are drawn
@@ -308,7 +297,7 @@ def sample_dist(
     betas = [draw_h(rng) for _ in range(s + 1)]
     beta_primes = [draw_h(rng) for _ in range(s + 1)]
     gammas = [draw_h(rng) for _ in range(s + 1)]
-    cs = ops.pair_keys(pair_keys, n, rng)
+    cs = [draw_h(rng) for _ in range(n)]
 
     slots: list = [None] * n
     slots[0] = hmul(y, betas[0])
@@ -423,22 +412,23 @@ def identity_count_partition(platform: GroupAction, buckets: int = 8) -> Partiti
     return Partition(f"w-identity-count%{buckets}", buckets, fn)
 
 
+BOOTSTRAP_REPS = 200
+
+
 @dataclass(frozen=True)
 class DistanceEstimate:
+    """``statistic`` is the plug-in TV over the partition's buckets.
+    ``ci95`` is the 2.5-97.5 percentile band of that statistic recomputed on
+    BOOTSTRAP_REPS multinomial resamples of both sides. The plug-in TV is
+    biased upward, and the resamples add their own bias on top, so the band
+    tends to sit above the statistic: it is not a 95% interval for the
+    distance, and it need not contain ``statistic``."""
+
     statistic: float
     ci95: tuple[float, float]
     samples_per_side: int
     partition: str
     buckets: int
-
-    def to_obj(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "ci95": list(self.ci95),
-            "samples_per_side": self.samples_per_side,
-            "partition": self.partition,
-            "buckets": self.buckets,
-        }
 
 
 def tv_distance(
@@ -447,11 +437,11 @@ def tv_distance(
     trials: int,
     partition: Partition,
     seed: int,
-    bootstrap_reps: int = 200,
 ) -> DistanceEstimate:
     """Half the L1 distance between the two empirical bucket distributions,
-    with a bootstrap 95% interval. Each side's draw is called once, with an
-    IndexStream of ``trials`` draws seeded by derive_seed(seed, side) for
+    with the percentile band of its bootstrap (see ``DistanceEstimate``: not
+    a 95% interval for the distance). Each side's draw is called once, with
+    an IndexStream of ``trials`` draws seeded by derive_seed(seed, side) for
     side "a" or "b", and returns that side's index rows (every sampler above
     does, through the batch backend); the partition buckets the rows.
     Calibrated for >= 10^3 trials and <= 64 buckets; the expected noise
@@ -471,7 +461,7 @@ def tv_distance(
     stat = 0.5 * float(np.abs(pa - pb).sum())
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "bootstrap")))
     # one call, rows alternating a and b: the same draws as one call per row
-    resampled = gen.multinomial(trials, np.stack([pa, pb] * bootstrap_reps)) / trials
+    resampled = gen.multinomial(trials, np.stack([pa, pb] * BOOTSTRAP_REPS)) / trials
     reps = 0.5 * np.abs(resampled[0::2] - resampled[1::2]).sum(axis=1)
     lo, hi = np.percentile(reps, [2.5, 97.5])
     return DistanceEstimate(stat, (float(lo), float(hi)), trials, partition.label,

@@ -28,7 +28,6 @@ from bdga.errors import (
 )
 from bdga.experiments import EXPERIMENTS, run_experiment
 from bdga.platforms import PRESET_NAMES, make_platform, preset
-from bdga.protocol import uniform_pair_keys
 from bdga.security_lab import (
     element_value_partition,
     identity_count_partition,
@@ -176,8 +175,6 @@ def test_batch_excluded_witnesses_avoid_both_cosets(name):
 def test_batch_rejects_payload_inputs():
     pf = preset("s4_conj")
     stream = IndexStream(1, 10)
-    with pytest.raises(ValueError):
-        sample_real(pf, N, stream, uniform_pair_keys)
     tup = sample_ddh_ga(pf, Random(1), "dh_shaped")
     with pytest.raises(ForeignElementError):
         sample_dist(pf, 1, tup, stream)

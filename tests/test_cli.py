@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from bdga.cli import main
+from bdga.platforms import preset
+from bdga.serial import transcript_from_obj
 
 
 def run_cli(*argv):
@@ -121,6 +123,22 @@ def test_verify_catches_wrong_counts(session_files):
     obj["v"] = obj["v"][:2]
     Path(tpath).write_text(json.dumps(obj))
     assert run_cli("verify", tpath) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_rejects_fewer_than_three_parties(session_files, capsys, n):
+    # counts that agree, elements that decode, Z telescoping to the identity
+    # and a matching sid: only the party count is wrong
+    tpath, _ = session_files
+    obj = read(tpath)
+    e = preset("bd23").target.identity_p.hex()
+    obj.update(n=n, v=obj["v"][:n], w=obj["w"][:n], Z=[e] * n)
+    obj["sid"] = transcript_from_obj(obj).sid
+    Path(tpath).write_text(json.dumps(obj))
+    assert run_cli("verify", tpath) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL: party count n < 3\n"
+    assert "Traceback" not in captured.err
 
 
 def test_verify_catches_sid_mismatch(session_files):

@@ -173,6 +173,29 @@ def test_test_oracle_contracts():
         env.test("U2", 0)
 
 
+@pytest.mark.parametrize("user, index", [(["A"], 0), ("U1", [0]), ({"U1": 0}, 0)],
+                         ids=["list_user", "list_index", "dict_user"])
+def test_test_oracle_refuses_an_unhashable_instance(user, index):
+    env = OracleEnv(S4, 3)
+    env.execute(TRIO)
+    state = env.rng.getstate()
+    with pytest.raises(MalformedInstanceError):
+        env.test(user, index)
+    assert not env.test_used and env.rng.getstate() == state
+    # the single Test query is still available
+    assert env.test("U1", 0).group == S4.target.tag
+    assert env.test_used
+
+    def malformed(env):
+        env.execute(TRIO)
+        env.test(user, index)
+        return env.hidden_bit
+
+    # a failed trial, not an aborted estimate
+    report = estimate_advantage(malformed, make_env_factory(BD, 16), 20)
+    assert report.successes == 0 and report.trials == 20 and report.q_ex == 20
+
+
 def test_wilson_half_width_shrinks():
     assert wilson_half_width(50, 100) > wilson_half_width(500, 1000)
     assert 0.0 < wilson_half_width(500, 1000) < 0.05

@@ -22,7 +22,6 @@ from bdga.protocol import (
     key_ladder,
     oracle_key,
     run_session,
-    uniform_pair_keys,
     wrap,
 )
 from bdga.serial import transcript_from_obj, transcript_to_obj
@@ -396,13 +395,6 @@ def test_byte_backend_parties_reject_foreign_payloads():
                 PartyState(pf, 1, 3).receive_round3(bad)
             with pytest.raises(ForeignElementError):
                 PartyState(pf, 1, 3).receive_round4([g, bad, g])
-        for bad in h_bad:
-            # a custom pair-key source is checked too, as on the tables
-            def foreign_keys(platform, n, rng, bad=bad):
-                return [bad] * n
-
-            with pytest.raises(ForeignElementError):
-                run_session(SessionConfig(pf, 3, 5, pair_key_source=foreign_keys))
         party = PartyState(pf, 1, 3)
         party.set_secret(e)
         party.set_pair_keys(e, e)
@@ -412,20 +404,16 @@ def test_byte_backend_parties_reject_foreign_payloads():
 
 
 def test_pair_key_source_is_pluggable():
-    def fixed_keys(platform, n, rng):
-        return [platform.acting.identity_p] * n
-
-    res = run_session(SessionConfig(S4, 4, 5, pair_key_source=fixed_keys))
-    assert res.internals.pair_keys == (S4.acting.identity_p,) * 4
-    assert res.keys[0] == oracle_key(S4, res.internals.secrets)
-    # with identity pair keys, round-3 messages coincide with the X values
-    assert res.transcript.w[1] == res.internals.x[1]
-
-
-def test_uniform_pair_keys_draw_from_acting_group():
-    keys = uniform_pair_keys(S4, 6, Random(8))
-    assert len(keys) == 6
-    assert all(S4.acting.contains_p(k) for k in keys)
+    # a session's pair keys are always uniform draws, but parties take any
+    # pair keys: here every neighboring pair shares the identity
+    n, e = 4, S4.acting.identity_p
+    secrets = run_session(SessionConfig(S4, n, 5)).internals.secrets
+    vs, ws, zs, keys, xs, ys = drive_party_states(S4, n, secrets, (e,) * n)
+    # with identity right pair keys, Y_i = apply(c_i^-1, w_{i+1}) is w_{i+1}
+    assert ys == ws[1:] + ws[:1]
+    assert keys == (oracle_key(S4, secrets).payload,) * n
+    # with identity left pair keys, round-3 messages coincide with the X values
+    assert ws == xs
 
 
 # -- transcript serialization -------------------------------------------------------------

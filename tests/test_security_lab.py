@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from brute_force import brute_force_conditional
+from named_platforms import UNTABULABLE, platform_named
 
 from bdga.actions import IndexStream
 from bdga.errors import DegenerateExclusionError, EnumerationCapError, RegimeError
@@ -113,6 +114,24 @@ def test_exclusion_degenerates_on_central_base():
     )
     with pytest.raises(DegenerateExclusionError):
         sample_ddh_ga(pf, Random(3), "random_excluded")
+
+
+@pytest.mark.parametrize("name", UNTABULABLE)
+def test_random_excluded_refuses_an_untabulable_platform(name):
+    # the base stabilizer is read off the action table, and the shaped kind
+    # needs none
+    pf = platform_named(name)
+    with pytest.raises(EnumerationCapError):
+        sample_ddh_ga(pf, Random(4), "random_excluded")
+    assert sample_ddh_ga(pf, Random(4), "dh_shaped").kind == "dh_shaped"
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_base_stabilizer_matches_an_apply_scan(name):
+    pf = preset(name)
+    base = pf.base_p
+    want = {h for h in pf.acting.elements_p() if pf.apply_p(h, base) == base}
+    assert pf.base_stabilizer_p() == want
 
 
 # -- the coset h . Stab inside the acting group ----------------------------------------

@@ -35,7 +35,6 @@ from bdga.protocol import (
     SessionConfig,
     Transcript,
     run_session,
-    uniform_pair_keys,
 )
 
 SEEDS = range(200)
@@ -46,18 +45,11 @@ def byte_ops(platform, rng=None):
     return actions._ByteOps(platform)
 
 
-def reversed_pair_keys(platform, n, rng):
-    """A custom source: uniform keys, handed out in reverse draw order."""
-    return [platform.acting.sample_p(rng) for _ in range(n)][::-1]
-
-
 def draw_script(pf, seed):
     """Every sampler and both tuple kinds on one RNG: (label, value, RNG
-    state after the draw) per draw. The seeds take turns: pair keys drawn
-    by the backend (no source), ``uniform_pair_keys``, and a custom source."""
+    state after the draw) per draw."""
     lab = security_lab
     rng = Random(derive_seed(seed, "tables"))
-    keys = (None, uniform_pair_keys, reversed_pair_keys)[seed % 3]
     n = 3 + seed % 4
     out = []
 
@@ -66,9 +58,9 @@ def draw_script(pf, seed):
             value = (value.transcript, value.key, value.internals)
         out.append((label, value, rng.getstate()))
 
-    record("real", lab.sample_real(pf, n, rng, keys))
-    record("fake", lab.sample_fake(pf, n, rng, keys))
-    record("fake_prime", lab.sample_fake_prime(pf, 1, rng, keys))
+    record("real", lab.sample_real(pf, n, rng))
+    record("fake", lab.sample_fake(pf, n, rng))
+    record("fake_prime", lab.sample_fake_prime(pf, 1, rng))
     for kind in ("dh_shaped", "random_excluded"):
         try:
             tup = lab.sample_ddh_ga(pf, rng, kind)
@@ -76,9 +68,9 @@ def draw_script(pf, seed):
             record(kind, "degenerate")
             continue
         record(kind, tup)
-        record("dist_prime", lab.sample_dist_prime(pf, 1, tup, rng, keys))
+        record("dist_prime", lab.sample_dist_prime(pf, 1, tup, rng))
         for symbol in ("r", "z"):
-            record(f"dist.{symbol}", lab.sample_dist(pf, 1, tup, rng, keys, closing_link=symbol))
+            record(f"dist.{symbol}", lab.sample_dist(pf, 1, tup, rng, closing_link=symbol))
     return out
 
 
@@ -171,41 +163,34 @@ def test_preset_index_draws_match_sample_p(name):
     assert_draws_match(pf.target)
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_uniform_pair_keys_match_on_both_backends(name, monkeypatch):
-    pf = preset(name)
-
-    def keys_script():
-        rng = Random(derive_seed(3, "pair keys", name))
-        out = []
-        for n in range(1, 40):
-            keys = uniform_pair_keys(pf, n, rng)
-            assert type(keys) is list and len(keys) == n
-            out.append((keys, rng.getstate()))
-        return out
-
-    on_tables = keys_script()
-    with monkeypatch.context() as m:
-        m.setattr(actions, "_ops", byte_ops)
-        on_bytes = keys_script()
-    assert on_tables == on_bytes
+def secrets_then_pair_keys(pf, n, rng):
+    """The reference draws: n secrets, then n pair keys, by ``sample_p``."""
+    secrets = tuple(pf.acting.sample_p(rng) for _ in range(n))
+    return secrets, tuple(pf.acting.sample_p(rng) for _ in range(n))
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, "s10_conj", "bd_modp_100043"])
 def test_default_pair_keys_are_uniform_pair_keys(name):
-    """No pair-key source draws what ``uniform_pair_keys`` draws, on both
-    backends: the same samples, sessions and RNG states."""
+    """The pair keys of the samplers and of a session are the n acting
+    ``sample_p`` draws after the n secrets, on both backends: the same
+    values and the same RNG state after them."""
     pf = platform_named(name)
     for seed in range(20):
         got, want = Random(seed), Random(seed)
-        for draw in (lambda rng, *k: security_lab.sample_real(pf, 5, rng, *k),
-                     lambda rng, *k: security_lab.sample_fake_prime(pf, 1, rng, *k)):
-            a, b = draw(got), draw(want, uniform_pair_keys)
-            assert (a.transcript, a.key, a.internals) == (b.transcript, b.key, b.internals)
-            assert got.getstate() == want.getstate()
-        a = run_session(SessionConfig(pf, 4, seed))
-        b = run_session(SessionConfig(pf, 4, seed, uniform_pair_keys))
-        assert (a.transcript, a.keys, a.internals) == (b.transcript, b.keys, b.internals)
+        sample = security_lab.sample_real(pf, 5, got)
+        secrets, keys = secrets_then_pair_keys(pf, 5, want)
+        assert (sample.internals["h"], sample.internals["c"]) == (secrets, keys)
+        assert got.getstate() == want.getstate()
+        got, want = Random(seed), Random(seed)
+        sample = security_lab.sample_fake_prime(pf, 1, got)
+        secrets, keys = secrets_then_pair_keys(pf, 8, want)
+        assert (sample.internals["h"], sample.internals["c"]) == (secrets, keys)
+        # fake_prime draws its uniform links after the pair keys
+        for _ in security_lab._randomized_indices(1):
+            pf.target.sample_p(want)
+        assert got.getstate() == want.getstate()
+        inner = run_session(SessionConfig(pf, 4, seed)).internals
+        assert (inner.secrets, inner.pair_keys) == secrets_then_pair_keys(pf, 4, Random(seed))
 
 
 def test_group_tables_match_compose_and_invert():
@@ -262,7 +247,7 @@ def drive_parties(config):
     pf, n = config.platform, config.n
     rng = Random(config.rng_seed)
     secrets = [pf.acting.sample_p(rng) for _ in range(n)]
-    cs = (config.pair_key_source or uniform_pair_keys)(pf, n, rng)
+    cs = [pf.acting.sample_p(rng) for _ in range(n)]
     parties = [PartyState(pf, i + 1, n) for i in range(n)]
     for i, p in enumerate(parties):
         p.set_pair_keys(cs[i - 1], cs[i])
@@ -283,16 +268,13 @@ def drive_parties(config):
 
 
 def session_script(pf):
-    """run_session and a hand-driven session at n = 3..12 over 100 seeds,
-    each with the default pair keys, ``uniform_pair_keys`` and a custom
-    pair-key source."""
+    """run_session and a hand-driven session at n = 3..12 over 200 seeds."""
     out = []
-    for seed in range(100):
-        for source in (None, uniform_pair_keys, reversed_pair_keys):
-            config = SessionConfig(pf, 3 + seed % 10, derive_seed(seed, "session"), source)
-            res = run_session(config)
-            out.append((res.transcript, res.keys, res.records, res.internals))
-            out.append(drive_parties(config))
+    for seed in range(200):
+        config = SessionConfig(pf, 3 + seed % 10, derive_seed(seed, "session"))
+        res = run_session(config)
+        out.append((res.transcript, res.keys, res.records, res.internals))
+        out.append(drive_parties(config))
     return out
 
 
@@ -304,7 +286,7 @@ def test_sessions_on_tables_match_bytes(name, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(actions, "_ops", byte_ops)
         on_bytes = session_script(pf)
-    assert len(on_tables) == len(on_bytes) == 600
+    assert len(on_tables) == len(on_bytes) == 400
     for i, (got, want) in enumerate(zip(on_tables, on_bytes)):
         assert got == want, (name, i)
     for res, hand in zip(on_tables[::2], on_tables[1::2]):
@@ -313,12 +295,6 @@ def test_sessions_on_tables_match_bytes(name, monkeypatch):
 
 def test_table_session_rejects_foreign_elements():
     pf = preset("s4_conj")
-
-    def foreign_pair_keys(platform, n, rng):
-        return uniform_pair_keys(platform, n - 1, rng) + [bytes(4)]
-
-    with pytest.raises(ForeignElementError):
-        run_session(SessionConfig(pf, 4, 1, foreign_pair_keys))
     party = PartyState(pf, 1, 3)
     with pytest.raises(ForeignElementError):
         party.set_pair_keys(pf.acting.identity_p, bytes(4))
