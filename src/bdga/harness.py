@@ -10,10 +10,13 @@ hidden bit drawn once at construction. The adversary surface is two oracles:
 
 A game runs the session's own round code (``protocol._session_rounds``, the
 rounds ``run_session`` runs) on the platform's element-ops backend, and
-builds only what the game reads: the transcript, its sid, and one key per
-instance. With ``fake_keys`` the key pass, whose output nobody reads, is
-skipped, and each key is a uniform target element drawn after the session.
-Its draws are the ones ``run_session`` and the target's ``sample`` make.
+keeps per session only the instance list, the transcript and one backend
+key per instance. A ``SessionRecord`` (its pid, the transcript's sid and
+the wrapped key) is built when ``record`` reads it, and a key is wrapped
+when ``test`` returns it, so a game that reads neither computes no sid.
+With ``fake_keys`` the key pass, whose output nobody reads, is skipped,
+and each key is a uniform target element drawn after the session. Its
+draws are the ones ``run_session`` and the target's ``sample`` make.
 
 ``estimate_advantage`` scores a guessing strategy over many fresh
 environments and reports |2 Pr[correct] - 1| with a Wilson 95% half-width.
@@ -48,14 +51,21 @@ def derive_seed(seed: int, *labels) -> int:
 
 
 class OracleEnv:
-    """One game instance: registry, master RNG, single hidden bit."""
+    """One game instance: registry, master RNG, single hidden bit.
+
+    The registry holds one entry per instance an ``execute`` ran, its
+    session and its position in it; a session is the tuple (instances,
+    transcript, backend keys). Every registered instance has accepted,
+    terminated and been used, so "the entry exists" is each of those
+    checks. ``record`` builds the instance's ``SessionRecord`` from its
+    entry on each read."""
 
     def __init__(self, platform: GroupAction, seed: int, fake_keys: bool = False):
         self.platform = platform
         self._ops = actions._ops(platform)
         self.rng = Random(seed)
         self.fake_keys = fake_keys
-        self._records: dict[tuple[str, int], SessionRecord] = {}
+        self._entries: dict[tuple, tuple[tuple, int]] = {}
         self._bit = self.rng.getrandbits(1)
         self.test_used = False
         self.q_ex = 0
@@ -75,39 +85,38 @@ class OracleEnv:
                 f"{type(instances).__name__} is not a sequence of instances") from None
         if count < 3:
             raise TooFewInstancesError(f"a session needs >= 3 instances, got {count}")
-        seen: set[tuple] = set()
+        entries = self._entries
+        named: dict[tuple, None] = {}  # the instances in order, as a set
         for key in instances:
             try:
                 user, index = key = tuple(key)
-                rec = self._records.get(key)
+                used = key in entries
             except (TypeError, ValueError):
                 raise MalformedInstanceError(f"{key!r} is not a (user, index) pair") from None
-            if key in seen:
+            if key in named:
                 raise InstanceReusedError(f"instance {key} is named twice")
-            if rec is not None and rec.used:
+            if used:
                 raise InstanceReusedError(f"instance {key} was already used")
-            seen.add(key)
-        pid = tuple(f"{u}#{i}" for u, i in instances)
+            named[key] = None
         ops, rng = self._ops, self.rng
         _, _, vs, ws, xs, _, zs = _session_rounds(ops, count, Random(rng.getrandbits(63)))
-        g_tuple, g_bytes, wrap_g = ops.g_tuple, ops.g_bytes, self.platform.target.wrap
+        g_tuple = ops.g_tuple
         transcript = Transcript(self.platform.tag, count, g_tuple(vs), g_tuple(ws), g_tuple(zs))
-        sid = transcript.sid
         self.q_ex += 1
         if self.fake_keys:
             keys = [ops.draw_g(rng) for _ in range(count)]
         else:
             keys = [_party_key(ops, x, zs, i) for i, x in enumerate(xs, 1)]
-        for key, sk in zip(instances, keys):
-            self._records[tuple(key)] = SessionRecord(
-                pid=pid,
-                sid=sid,
-                sk=wrap_g(g_bytes(sk)),
-                acc=True,
-                term=True,
-                used=True,
-            )
+        session = (tuple(named), transcript, keys)
+        for position, key in enumerate(named):
+            entries[key] = (session, position)
         return transcript
+
+    def _entry(self, user: str, index: int) -> tuple[tuple, int] | None:
+        try:
+            return self._entries.get((user, index))
+        except TypeError:
+            raise MalformedInstanceError(f"{(user, index)!r} is not a (user, index) pair") from None
 
     def test(self, user: str, index: int) -> GroupElement:
         """The single Test query. A second query raises TestUnavailableError;
@@ -116,17 +125,17 @@ class OracleEnv:
         InstanceNotAcceptedError, both leaving the query unused."""
         if self.test_used:
             raise TestUnavailableError("the single Test query was already consumed")
-        try:
-            rec = self._records.get((user, index))
-        except TypeError:
-            raise MalformedInstanceError(f"{(user, index)!r} is not a (user, index) pair") from None
-        if rec is None or not rec.acc:
+        entry = self._entry(user, index)
+        if entry is None:
             raise InstanceNotAcceptedError(f"instance {(user, index)} has not accepted a key")
         self.test_used = True
-        if self._bit == 1:
-            return rec.sk
         ops = self._ops
-        return self.platform.target.wrap(ops.g_bytes(ops.draw_g(self.rng)))
+        if self._bit == 1:
+            (_, _, keys), position = entry
+            sk = keys[position]
+        else:
+            sk = ops.draw_g(self.rng)
+        return self.platform.target.wrap(ops.g_bytes(sk))
 
     @property
     def hidden_bit(self) -> int:
@@ -134,7 +143,22 @@ class OracleEnv:
         return self._bit
 
     def record(self, user: str, index: int) -> SessionRecord:
-        return self._records[(user, index)]
+        """The instance's record, built from its session on each read: the
+        participants as "user#index", the transcript's sid and the wrapped
+        key. An instance that is not hashable raises MalformedInstanceError,
+        one that no session ran KeyError."""
+        entry = self._entry(user, index)
+        if entry is None:
+            raise KeyError((user, index))
+        (named, transcript, keys), position = entry
+        return SessionRecord(
+            pid=tuple(f"{u}#{i}" for u, i in named),
+            sid=transcript.sid,
+            sk=self.platform.target.wrap(self._ops.g_bytes(keys[position])),
+            acc=True,
+            term=True,
+            used=True,
+        )
 
 
 @dataclass
@@ -174,9 +198,10 @@ def estimate_advantage(
 ) -> AdvantageReport:
     """Run the distinguisher against fresh environments and count correct
     hidden-bit guesses. A trial whose oracle contract is violated (or that
-    never queries Test) counts as a failure."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    never queries Test) counts as a failure. A trial count that is not an
+    int >= 1, such as True or 2.5, raises ValueError before any game runs."""
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, not {trials!r}")
     t0 = time.perf_counter()
     successes = 0
     q_ex = 0

@@ -24,6 +24,7 @@ from bdga.experiments import (
 )
 from bdga.harness import OracleEnv, derive_seed, estimate_advantage, wilson_half_width
 from bdga.platforms import PRESET_NAMES, make_platform, preset
+from bdga.protocol import Transcript
 
 BD = preset("bd23")
 S4 = preset("s4_conj")
@@ -194,6 +195,51 @@ def test_test_oracle_refuses_an_unhashable_instance(user, index):
     # a failed trial, not an aborted estimate
     report = estimate_advantage(malformed, make_env_factory(BD, 16), 20)
     assert report.successes == 0 and report.trials == 20 and report.q_ex == 20
+
+
+@pytest.mark.parametrize("user, index", [(["A"], 0), ("U1", [0]), ({"U1": 0}, 0)],
+                         ids=["list_user", "list_index", "dict_user"])
+def test_record_refuses_an_unhashable_instance(user, index):
+    env = OracleEnv(S4, 3)
+    env.execute(TRIO)
+    state = env.rng.getstate()
+    with pytest.raises(MalformedInstanceError):
+        env.record(user, index)
+    assert not env.test_used and env.rng.getstate() == state
+    # an unknown instance is still a KeyError, and a known one still reads
+    with pytest.raises(KeyError):
+        env.record("U9", 0)
+    assert env.record("U1", 0).pid == ("U1#0", "U2#0", "U3#0")
+
+
+@pytest.mark.parametrize("name", ["bd23", "c23_dcoset"])
+def test_null_game_computes_no_sid_and_wraps_at_most_one_key(name, monkeypatch):
+    """The null distinguisher reads the transcript and the Test value only:
+    its game computes no sid, and wraps one key, the one Test returns."""
+    pf = preset(name)
+    sids, wraps = [], []
+    sid, wrap = Transcript.sid, pf.target.wrap
+    monkeypatch.setattr(Transcript, "sid", property(lambda t: sids.append(t) or sid.fget(t)))
+    monkeypatch.setattr(pf.target, "wrap", lambda payload: wraps.append(payload) or wrap(payload))
+    distinguisher = make_null_distinguisher(pf, seed=4)
+    factory = make_env_factory(pf, 17, fake_keys=True)
+    for trial in range(200):
+        env = factory(trial)
+        wraps.clear()
+        distinguisher(env)
+        assert env.test_used and len(wraps) <= 1
+    assert sids == []
+    # a record read is where the sid is computed and its key wrapped
+    record = env.record("U1", 0)
+    assert len(sids) == 1 and wraps[-1] == record.sk.payload
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, 0, -1, "3", None])
+def test_estimate_advantage_refuses_a_trial_count_that_is_not_a_positive_int(trials):
+    envs = []
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        estimate_advantage(make_null_distinguisher(BD, seed=1), envs.append, trials)
+    assert envs == []  # no game ran
 
 
 def test_wilson_half_width_shrinks():

@@ -9,6 +9,7 @@ state after every draw. The vectorized table builds are checked against the
 element-by-element loops.
 """
 
+import dataclasses
 from random import Random
 
 import numpy as np
@@ -361,6 +362,31 @@ def test_game_runs_the_session_of_run_session_on_bytes():
         assert {r.sid for r in records} == {res.transcript.sid}
         value = env.test(*instances[0])
         assert value == (keys[0] if env.hidden_bit else pf.target.sample(ahead))
+        assert env.rng.getstate() == ahead.getstate()
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "s10_conj"])
+def test_game_records_are_the_records_run_session_builds(name):
+    """Each record() equals the SessionRecord run_session builds at the
+    session seed the environment draws, with the game's pid and, for fake
+    keys, the target's samples drawn after the session as its key; on the
+    tables for every preset, on bytes for S10 conjugation. Reading a
+    record twice gives equal records."""
+    pf = platform_named(name) if name == "s10_conj" else preset(name)
+    for seed in range(8):
+        fake = seed % 2 == 1
+        env = OracleEnv(pf, derive_seed(seed, "records"), fake_keys=fake)
+        ahead = Random()
+        ahead.setstate(env.rng.getstate())
+        instances = [(f"U{i}", seed) for i in range(3 + seed % 4)]
+        env.execute(instances)
+        res = run_session(SessionConfig(pf, len(instances), ahead.getrandbits(63)))
+        keys = [pf.target.sample(ahead) for _ in instances] if fake else res.keys
+        pid = tuple(f"U{i}#{seed}" for i in range(len(instances)))
+        for instance, want, key in zip(instances, res.records, keys):
+            record = env.record(*instance)
+            assert record == dataclasses.replace(want, pid=pid, sk=key)
+            assert env.record(*instance) == record
         assert env.rng.getstate() == ahead.getstate()
 
 
