@@ -75,9 +75,10 @@ class OracleEnv:
         twice, or one already used, raises InstanceReusedError; fewer than
         three instances raise TooFewInstancesError; ``instances`` that are
         not a sized sequence, such as None or an iterator, or an instance that
-        is not a hashable (user, index) pair, such as ("A",), 5 or (["A"], 1),
-        raise MalformedInstanceError. All of these are raised before the
-        session runs, ``q_ex`` counts it or the environment's RNG moves."""
+        is not a (user, index) pair of a str and an int, such as ("A",), 5,
+        "AB", (["A"], 1) or (1.5, None), raise MalformedInstanceError. All of
+        these are raised before the session runs, ``q_ex`` counts it or the
+        environment's RNG moves."""
         try:
             count = len(instances)
         except TypeError:
@@ -87,15 +88,16 @@ class OracleEnv:
             raise TooFewInstancesError(f"a session needs >= 3 instances, got {count}")
         entries = self._entries
         named: dict[tuple, None] = {}  # the instances in order, as a set
-        for key in instances:
+        for instance in instances:
             try:
-                user, index = key = tuple(key)
-                used = key in entries
+                user, index = key = tuple(instance)
             except (TypeError, ValueError):
-                raise MalformedInstanceError(f"{key!r} is not a (user, index) pair") from None
+                user = index = None
+            if not isinstance(user, str) or type(index) is not int:
+                raise MalformedInstanceError(f"{instance!r} is not a (user, index) pair")
             if key in named:
                 raise InstanceReusedError(f"instance {key} is named twice")
-            if used:
+            if key in entries:
                 raise InstanceReusedError(f"instance {key} was already used")
             named[key] = None
         ops, rng = self._ops, self.rng

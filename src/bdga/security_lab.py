@@ -30,15 +30,17 @@ sample, drawn exactly as the byte-level groups draw. An
 (trials, 3n + 1) index rows of (v, w, Z, key) over the platform's tables.
 
 ``tv_distance`` estimates the total-variation distance between two samplers
-over a finite bucket partition (a sound lower bound on the true distance).
-Each side is drawn as one batch of index rows and every ``Partition`` maps
-those rows to buckets, so every TV statistic buckets batch rows.
+over a finite bucket partition (a sound lower bound on the true distance),
+with a closed-form 95% interval for that partition distance. Each side is
+drawn as one batch of index rows and every ``Partition`` maps those rows to
+buckets, so every TV statistic buckets batch rows.
 ``exact_key_conditional`` computes, by exhaustive enumeration, the exact
 conditional distribution of the key given a fake transcript.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from random import Random
@@ -412,17 +414,31 @@ def identity_count_partition(platform: GroupAction, buckets: int = 8) -> Partiti
     return Partition(f"w-identity-count%{buckets}", buckets, fn)
 
 
-BOOTSTRAP_REPS = 200
+DELTA = 0.05  # ci95's error level: it misses the partition TV with probability <= DELTA
 
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """``statistic`` is the plug-in TV over the partition's buckets.
-    ``ci95`` is the 2.5-97.5 percentile band of that statistic recomputed on
-    BOOTSTRAP_REPS multinomial resamples of both sides. The plug-in TV is
-    biased upward, and the resamples add their own bias on top, so the band
-    tends to sit above the statistic: it is not a 95% interval for the
-    distance, and it need not contain ``statistic``."""
+    """``statistic`` is the plug-in TV over the partition's B buckets,
+    T^ = 1/2 ||p^ - q^||_1 for the two sides' empirical bucket
+    distributions at T trials each. ``ci95`` is [T^ - h, T^ + h] clipped to
+    [0, 1], with h = sqrt((B - 1)/T) + sqrt(ln(2/DELTA)/T): it contains the
+    partition TV, TV_P = 1/2 ||p - q||_1, with probability at least
+    1 - DELTA = 95%, and it always contains ``statistic``.
+
+    Proof. Bias: per bucket E|p^_i - p_i| <= sqrt(p_i (1 - p_i)/T), so by
+    Cauchy-Schwarz E||p^ - p||_1 <= sqrt(B (1 - sum p_i^2)/T)
+    <= sqrt((B - 1)/T) per side, and by the triangle inequality
+    |E T^ - TV_P| <= 1/2 (E||p^ - p||_1 + E||q^ - q||_1) <= sqrt((B - 1)/T).
+    Deviation: T^ is a function of 2T independent draws, and moving one
+    draw to another bucket moves T^ by at most 1/T, so McDiarmid's
+    inequality gives P(|T^ - E T^| >= e) <= 2 exp(-2 e^2 / (2T / T^2))
+    = 2 exp(-T e^2), which is DELTA at e = sqrt(ln(2/DELTA)/T). Outside
+    that event |T^ - TV_P| < h. TV_P lies in [0, 1], so clipping keeps
+    coverage.
+
+    The interval needs no resampling and no randomness beyond the draws.
+    It is wide: at B = 64, h is 0.031 at 10^5 trials and 0.18 at 3000."""
 
     statistic: float
     ci95: tuple[float, float]
@@ -439,33 +455,26 @@ def tv_distance(
     seed: int,
 ) -> DistanceEstimate:
     """Half the L1 distance between the two empirical bucket distributions,
-    with the percentile band of its bootstrap (see ``DistanceEstimate``: not
-    a 95% interval for the distance). Each side's draw is called once, with
-    an IndexStream of ``trials`` draws seeded by derive_seed(seed, side) for
-    side "a" or "b", and returns that side's index rows (every sampler above
-    does, through the batch backend); the partition buckets the rows.
-    Calibrated for >= 10^3 trials and <= 64 buckets; the expected noise
-    floor for identical samplers is about 0.57 * sqrt(buckets / trials)."""
+    with a 95% interval for the partition's TV (see ``DistanceEstimate``).
+    Each side's draw is called once, with an IndexStream of ``trials`` draws
+    seeded by derive_seed(seed, side) for side "a" or "b", and returns that
+    side's index rows (every sampler above does, through the batch backend);
+    the partition buckets the rows. The expected noise floor for identical
+    samplers is about 0.57 * sqrt(buckets / trials), inside the interval's
+    half-width. A partition that puts every row in one bucket warns; its
+    statistic is 0."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = np.zeros((2, partition.buckets), dtype=np.int64)
     for side, (label, draw) in enumerate((("a", draw_a), ("b", draw_b))):
         rows = draw(IndexStream(derive_seed(seed, label), trials))
         counts[side] = np.bincount(partition(rows), minlength=partition.buckets)
-    occupied = int(np.count_nonzero(counts.sum(axis=0)))
-    if occupied <= 1:
+    if np.count_nonzero(counts.sum(axis=0)) <= 1:
         warnings.warn("degenerate partition: all samples in one bucket", stacklevel=2)
-        return DistanceEstimate(0.0, (0.0, 0.0), trials, partition.label, partition.buckets)
-    pa = counts[0] / trials
-    pb = counts[1] / trials
-    stat = 0.5 * float(np.abs(pa - pb).sum())
-    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "bootstrap")))
-    # one call, rows alternating a and b: the same draws as one call per row
-    resampled = gen.multinomial(trials, np.stack([pa, pb] * BOOTSTRAP_REPS)) / trials
-    reps = 0.5 * np.abs(resampled[0::2] - resampled[1::2]).sum(axis=1)
-    lo, hi = np.percentile(reps, [2.5, 97.5])
-    return DistanceEstimate(stat, (float(lo), float(hi)), trials, partition.label,
-                            partition.buckets)
+    stat = 0.5 * float(np.abs(counts[0] / trials - counts[1] / trials).sum())
+    half = math.sqrt((partition.buckets - 1) / trials) + math.sqrt(math.log(2 / DELTA) / trials)
+    return DistanceEstimate(stat, (max(stat - half, 0.0), min(stat + half, 1.0)), trials,
+                            partition.label, partition.buckets)
 
 
 # -- exact conditional analysis ---------------------------------------------------

@@ -8,12 +8,14 @@ being frozen here.
 One criterion is expected to fail: exact uniformity of the key conditioned
 on a fake transcript at target-group order 24 with four parties. The
 conditional is the pushforward of a uniform translate through
-t -> t*(t a1)*(t a2)*(t a3), which is a bijection essentially only for
-prime-order cyclic targets (where the classical commutative protocol lives);
-on every order-24 group the map provably collapses (for any group with an
-even-exponent abelianization a parity argument kills it outright, and the
-remaining candidate was refuted numerically). The neighboring test
-demonstrates the same machinery passing exactly on a prime-order platform.
+t -> t*(t a1)*(t a2)*(t a3). With every a_k = e that map is the power map
+t -> t^4, which is a bijection iff gcd(4, |G|) = 1, so at n = 4 it is not a
+bijection on any group of even order, every order-24 target included
+(test_security_lab pins the power-map fact on every preset). Whether the
+fiber-weighted conditional, which weights each translate, is uniform is a
+separate question; the test measures it on sl23_dcoset. The neighboring
+test demonstrates the same machinery passing exactly on a prime-order
+platform.
 """
 
 import time
@@ -249,9 +251,10 @@ def test_fake_matches_random_hybrid_distribution():
 
 
 def test_fake_key_independence_exact_uniformity_order24():
-    """EXPECTED RED. The conditioned key distribution cannot be uniform on an
-    order-24 target with four parties (see the module docstring); the check
-    below is the criterion exactly as stated, and it fails honestly."""
+    """EXPECTED RED. The conditioned key distribution is not uniform on the
+    order-24 target of sl23_dcoset with four parties (see the module
+    docstring); the check below is the criterion exactly as stated, and it
+    fails honestly."""
     pf = preset("sl23_dcoset")
     assert pf.target.order == 24
     worst = 0.0
@@ -268,11 +271,11 @@ def test_fake_key_independence_exact_uniformity_order24():
         worst = max(worst, tv)
     report("fake-key-independence-exact-|G|24", all_uniform,
            f"worst conditional TV from uniform = {worst:.3f} (expected red; "
-           "exact only for prime-order cyclic targets)")
+           "at a_k = e the key map is t -> t^4, not a bijection as gcd(4, 24) = 4)")
     assert all_uniform, (
-        f"key|transcript deviates from uniform by TV {worst:.3f}: the uniform-"
-        "independence property does not generalize beyond prime-order cyclic "
-        "targets, so this criterion cannot hold at |G| = 24 with n = 4"
+        f"key|transcript deviates from uniform by TV {worst:.3f} on 12 fake "
+        "transcripts at |G| = 24 with n = 4; at a_k = e the key map is the power "
+        "map t -> t^4, a bijection only when gcd(4, |G|) = 1"
     )
 
 

@@ -72,8 +72,10 @@ def test_execute_refuses_fewer_than_three_instances():
     assert issubclass(TooFewInstancesError, RegimeError)
 
 
-@pytest.mark.parametrize("bad", [("A",), ("A", 1, 2), 5, (["A"], 1)],
-                         ids=["single", "triple", "int", "unhashable"])
+@pytest.mark.parametrize("bad", [("A",), ("A", 1, 2), 5, (["A"], 1), "AB", (1.5, None),
+                                 ((), "x")],
+                         ids=["single", "triple", "int", "unhashable", "str", "float_user",
+                              "tuple_user"])
 def test_execute_refuses_a_malformed_instance(bad):
     env = OracleEnv(S4, 42)
     state = env.rng.getstate()

@@ -1,6 +1,7 @@
 """Distribution samplers, challenge tuples, distance estimation, and the
 exact key-conditional analysis."""
 
+import math
 import re
 import warnings
 from pathlib import Path
@@ -356,7 +357,7 @@ def test_tv_identical_samplers_is_noise_floor():
 
     est = tv_distance(fake, fake, 4000, hash_partition(4), seed=19)
     assert est.statistic <= 2.0 / 4000**0.5
-    assert est.ci95[0] <= est.ci95[1]
+    assert est.ci95[0] == 0 <= est.statistic <= est.ci95[1]
 
 
 def test_tv_point_mass_vs_uniform():
@@ -369,6 +370,8 @@ def test_tv_point_mass_vs_uniform():
     part = Partition("toy", 2, lambda values: values)
     est = tv_distance(point, coin, 2000, part, seed=20)
     assert abs(est.statistic - 0.5) < 0.05
+    # the exact TV of a point mass against a fair coin
+    assert est.ci95[0] <= 0.5 <= est.ci95[1]
 
 
 def test_tv_degenerate_partition_warns():
@@ -380,6 +383,7 @@ def test_tv_degenerate_partition_warns():
         warnings.simplefilter("always")
         est = tv_distance(zeros, zeros, 50, part, seed=21)
     assert est.statistic == 0.0
+    assert est.ci95[0] == 0.0 < est.ci95[1]
     assert any("degenerate" in str(w.message) for w in caught)
 
 
@@ -520,8 +524,7 @@ def test_prime_order_regular_platform_is_exactly_uniform():
 
 
 def test_order24_platform_conditional_is_not_uniform():
-    # the conditional key distribution concentrates on a strict subset: the
-    # uniform-independence property is specific to prime-order cyclic targets
+    # the conditional key distribution concentrates on a strict subset
     pf = preset("sl23_dcoset")
     uniform = 0
     for t in range(5):
@@ -530,6 +533,22 @@ def test_order24_platform_conditional_is_not_uniform():
         uniform += conditional_is_uniform(pf, weights)
         assert sum(weights.values()) > 0
     assert uniform == 0
+
+
+def test_key_map_at_the_identity_is_a_bijection_iff_n_is_prime_to_the_order():
+    # with every a_k = e the conditional key map t -> t (t a_1) ... (t a_{n-1})
+    # is the power map t -> t^n, a bijection iff gcd(n, |G|) = 1: a prime p
+    # dividing both gives (Cauchy) an element of order p, which t -> t^n
+    # sends to e as it sends e
+    for name in PRESET_NAMES:
+        G = preset(name).target.table
+        elements = np.arange(G.order)
+        power = np.full(G.order, G.identity)
+        for n in range(1, 7):
+            power = G.mul[power, elements]
+            if n >= 3:
+                injective = len(np.unique(power)) == G.order
+                assert injective == (math.gcd(n, G.order) == 1), (name, n, G.order)
 
 
 def test_bd_conditional_is_uniform_on_its_support():
@@ -541,24 +560,10 @@ def test_bd_conditional_is_uniform_on_its_support():
     assert 0 < len(weights) <= BD.target.order
 
 
-def _loop_bootstrap_ci(counts, trials, seed, reps=200):
-    """The bootstrap as one multinomial call per side and rep: the reference
-    for tv_distance's single batched call."""
-    pa, pb = counts[0] / trials, counts[1] / trials
-    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "bootstrap")))
-    stats = np.empty(reps)
-    for i in range(reps):
-        ra = gen.multinomial(trials, pa) / trials
-        rb = gen.multinomial(trials, pb) / trials
-        stats[i] = 0.5 * float(np.abs(ra - rb).sum())
-    lo, hi = np.percentile(stats, [2.5, 97.5])
-    return float(lo), float(hi)
-
-
 @pytest.mark.parametrize("seed, trials, buckets, spread", [
     (0, 50, 4, 4), (1, 1000, 64, 64), (2, 300, 16, 5), (3, 2000, 24, 24), (4, 7, 8, 3),
 ])
-def test_tv_bootstrap_matches_per_rep_loop(seed, trials, buckets, spread):
+def test_tv_interval_is_the_closed_form(seed, trials, buckets, spread):
     # draws land in the first ``spread`` buckets only, so spread < buckets
     # leaves empty buckets on both sides
     part = Partition("mod", buckets, lambda values: values % spread)
@@ -572,4 +577,10 @@ def test_tv_bootstrap_matches_per_rep_loop(seed, trials, buckets, spread):
                     minlength=buckets)
         for label, offset in (("a", 0), ("b", 1))
     ])
-    assert est.ci95 == _loop_bootstrap_ci(counts, trials, seed)
+    stat = 0.5 * np.abs(counts[0] - counts[1]).sum() / trials
+    half = math.sqrt((buckets - 1) / trials) + math.sqrt(math.log(40) / trials)
+    assert est.statistic == pytest.approx(stat, abs=1e-15)
+    assert est.ci95 == pytest.approx((max(stat - half, 0), min(stat + half, 1)), abs=1e-12)
+    assert est.ci95[0] <= est.statistic <= est.ci95[1]
+    if trials == 7:
+        assert est.ci95 == (0.0, 1.0)
