@@ -99,6 +99,8 @@ class GroupAction:
     commutative: bool = False
 
     def __init__(self, tag: str, acting: FiniteGroup, target: FiniteGroup, base_p: bytes):
+        if not isinstance(tag, str):  # it is hashed into every session id
+            raise PlatformValidationError(f"platform tag must be a string, not {tag!r}")
         self.tag = tag
         self.acting = acting
         self.target = target

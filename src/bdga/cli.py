@@ -8,12 +8,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
-from .errors import BdgaError, OracleContractError
+from .errors import BdgaError
 from .experiments import EXPERIMENTS, run_experiment
-from .platforms import PRESET_NAMES, make_platform, platform_from_descriptor, preset, \
-    preset_summary
+from .platforms import PRESET_NAMES, platform_from_descriptor, preset, preset_summary
 from .protocol import SessionConfig, run_session
 from .serial import (
     dump_json,
@@ -23,60 +23,16 @@ from .serial import (
     transcript_from_obj,
     transcript_to_obj,
 )
-from .actions import GroupAction
-
-
-def _parse_perm_list(text: str) -> list[list[int]]:
-    """Permutations in one-line form, points separated by commas or spaces
-    and permutations by semicolons; at least one."""
-    gens = []
-    for chunk in text.split(";"):
-        tokens = chunk.replace(",", " ").split()
-        if tokens:
-            try:
-                gens.append([int(v) for v in tokens])
-            except ValueError:
-                raise BdgaError(f"not a list of integer points: {chunk.strip()!r}") from None
-    if not gens:
-        raise BdgaError(f"no permutation given in {text!r}")
-    return gens
-
-
-def _resolve_platform(args) -> GroupAction:
-    name = args.platform
-    if name in PRESET_NAMES:
-        return preset(name)
-    if name == "bd_modp":
-        if None in (args.p, args.g, args.q):
-            raise BdgaError("bd_modp needs --p, --g and --q")
-        return make_platform("bd_modp", p=args.p, g=args.g, q=args.q)
-    if name in ("conjugation", "twisted_conjugacy", "double_coset"):
-        if args.degree is None or args.base is None:
-            raise BdgaError(f"{name} needs --degree and --base")
-        params: dict = {"family": "perm", "degree": args.degree,
-                        "base": _parse_perm_list(args.base)[0]}
-        params["group"] = "full" if args.group in (None, "full") else _parse_perm_list(args.group)
-        sub = "group" if args.subgroup in (None, "group") else _parse_perm_list(args.subgroup)
-        if name == "double_coset":
-            params["left"] = sub
-            params["right"] = (
-                "group" if args.right in (None, "group") else _parse_perm_list(args.right)
-            )
-        else:
-            params["subgroup"] = sub
-        return make_platform(name, **params)
-    raise BdgaError(f"unknown platform {name!r}; presets: {', '.join(PRESET_NAMES)}")
 
 
 def cmd_run(args) -> int:
-    if args.n < 3:
-        print("error: n must be >= 3", file=sys.stderr)
-        return 2
-    try:
-        platform = _resolve_platform(args)
-    except BdgaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.platform in PRESET_NAMES:
+        platform = preset(args.platform)
+    elif os.path.isfile(args.platform):
+        platform = platform_from_descriptor(load_json(args.platform))
+    else:
+        raise BdgaError(f"--platform {args.platform!r} is neither a preset "
+                        f"({', '.join(PRESET_NAMES)}) nor a descriptor file")
     result = run_session(SessionConfig(platform, args.n, args.seed))
     first = result.keys[0]
     if any(k != first for k in result.keys):
@@ -97,19 +53,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        tobj = load_json(args.transcript)
-        transcript = transcript_from_obj(tobj)
-        meta = tobj.get("meta") or {}
-        if not isinstance(meta, dict):
-            raise BdgaError("transcript meta is not an object")
-        desc = meta.get("platform_descriptor")
-        if desc is None:
-            raise BdgaError("transcript carries no platform descriptor")
-        platform = platform_from_descriptor(desc)
-    except BdgaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tobj = load_json(args.transcript)
+    transcript = transcript_from_obj(tobj)
+    meta = tobj.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise BdgaError("transcript meta is not an object")
+    desc = meta.get("platform_descriptor")
+    if desc is None:
+        raise BdgaError("transcript carries no platform descriptor")
+    platform = platform_from_descriptor(desc)
 
     def fail(reason: str) -> int:
         print(f"FAIL: {reason}")
@@ -135,11 +87,7 @@ def cmd_verify(args) -> int:
     if tobj.get("sid") != transcript.sid:
         return fail("sid does not match the transcript bytes")
     if args.keys:
-        try:
-            kobj = load_json(args.keys)
-        except BdgaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        kobj = load_json(args.keys)
         if kobj.get("sid") != transcript.sid:
             return fail("keys file sid does not match the transcript")
         try:
@@ -153,32 +101,23 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     manifest: dict = {}
     if args.manifest:
-        try:
-            manifest = load_json(args.manifest)
-        except BdgaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        manifest = load_json(args.manifest)
     name = args.experiment or manifest.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
-        print(f"error: unknown experiment {name!r}; choose from: {known}", file=sys.stderr)
-        return 2
+        raise BdgaError(f"unknown experiment {name!r}; choose from: {known}")
     platform = args.platform or manifest.get("platform")
-    try:
-        if platform is not None and platform not in PRESET_NAMES:
-            raise BdgaError(f"experiment platforms are preset names: {', '.join(PRESET_NAMES)}")
-        result = run_experiment(
-            name,
-            platform,
-            s=args.s if args.s is not None else manifest.get("s"),
-            n=args.n if args.n is not None else manifest.get("n"),
-            trials=args.trials if args.trials is not None else manifest.get("trials"),
-            seed=args.seed if args.seed is not None else manifest.get("seed", 0),
-            tolerance=args.tolerance if args.tolerance is not None else manifest.get("tolerance"),
-        )
-    except (BdgaError, OracleContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if platform is not None and platform not in PRESET_NAMES:
+        raise BdgaError(f"experiment platforms are preset names: {', '.join(PRESET_NAMES)}")
+    result = run_experiment(
+        name,
+        platform,
+        s=args.s if args.s is not None else manifest.get("s"),
+        n=args.n if args.n is not None else manifest.get("n"),
+        trials=args.trials if args.trials is not None else manifest.get("trials"),
+        seed=args.seed if args.seed is not None else manifest.get("seed", 0),
+        tolerance=args.tolerance if args.tolerance is not None else manifest.get("tolerance"),
+    )
     if args.out:
         dump_json(result, args.out)
     verdict = "PASS" if result["pass"] else "FAIL"
@@ -215,15 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one session and write transcript + keys files")
     run_p.add_argument("--platform", required=True,
-                       help=f"preset ({', '.join(PRESET_NAMES)}), bd_modp, or a kind name")
-    run_p.add_argument("--p", type=int, help="bd_modp prime modulus")
-    run_p.add_argument("--g", type=int, help="bd_modp base point")
-    run_p.add_argument("--q", type=int, help="bd_modp base-point order")
-    run_p.add_argument("--degree", type=int, help="permutation degree for custom kinds")
-    run_p.add_argument("--group", help="target generators, e.g. '2,1,3,4;2,3,4,1' (or 'full')")
-    run_p.add_argument("--subgroup", help="acting/left generators (default: whole group)")
-    run_p.add_argument("--right", help="right generators for double_coset")
-    run_p.add_argument("--base", help="base point as a one-line permutation")
+                       help=f"a preset ({', '.join(PRESET_NAMES)}) or the path of a JSON "
+                       'platform descriptor file, {"kind": ..., "params": {...}}, as in '
+                       "meta.platform_descriptor of the files this command writes")
     run_p.add_argument("--n", type=int, required=True, help="party count (>= 3)")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--out", default="session", help="output file prefix")

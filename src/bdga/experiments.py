@@ -334,6 +334,8 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
             key = "threshold" if name == "ddh_toy_advantage" else "tolerance"
             kwargs[key] = tolerance
     else:
+        if s is not None and n is not None and n != 3 * s + 5:
+            raise BdgaError(f"party count n = {n} is not 3s + 5 for s = {s}")
         if s is None:
             s = defaults["s"] if n is None else None
         if s is None and n is not None:

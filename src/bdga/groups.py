@@ -270,11 +270,13 @@ class PermutationGroup(_PermBase):
 
 
 def mat2_payload(entries: Sequence[int] | Sequence[Sequence[int]], p: int) -> bytes:
-    flat: list[int]
-    if len(entries) == 2:
-        flat = [entries[0][0], entries[0][1], entries[1][0], entries[1][1]]  # type: ignore[index]
-    else:
-        flat = list(entries)  # type: ignore[arg-type]
+    """Encode a 2x2 matrix mod p given as four ints or as two rows of two."""
+    flat = list(entries) if isinstance(entries, (list, tuple)) else []
+    if len(flat) == 2 and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in flat):
+        flat = [*flat[0], *flat[1]]
+    if len(flat) != 4 or any(type(v) is not int for v in flat):
+        raise PlatformValidationError(
+            f"matrix entries must be four ints or two rows of two ints, not {entries!r}")
     return bytes(v % p for v in flat)
 
 
@@ -376,20 +378,36 @@ def _powers(g: int, p: int, q: int) -> list[int]:
     return powers
 
 
+# Miller-Rabin with these bases is exact below the least number that is a
+# strong pseudoprime to all of them (Sorenson & Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: O(log n) multiplications per base; a
+    modulus at or above _PRIME_BOUND raises PlatformValidationError."""
+    if n >= _PRIME_BOUND:
+        raise PlatformValidationError(f"modulus {n} is too large to test for primality")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    r, d = 0, n - 1
+    while d % 2 == 0:
+        r, d = r + 1, d // 2
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
-
 
 class ModCyclicGroup(FiniteGroup):
     """The cyclic subgroup of Z_p^* generated by g, of order q."""
@@ -401,6 +419,8 @@ class ModCyclicGroup(FiniteGroup):
             raise PlatformValidationError(f"generator {g} not in 2..{p - 1}")
         if pow(g, q, p) != 1:
             raise PlatformValidationError(f"{g}^{q} != 1 mod {p}: claimed order is wrong")
+        if q > ENUMERATION_CAP:
+            raise EnumerationCapError(f"order {q} exceeds the enumeration cap {ENUMERATION_CAP}")
         powers = _powers(g, p, q)
         powers.sort()
         if len(powers) != q:
@@ -470,6 +490,8 @@ class UnitsModGroup(FiniteGroup):
     def __init__(self, q: int):
         if q < 2:
             raise PlatformValidationError("modulus must be >= 2")
+        if q > ENUMERATION_CAP:
+            raise EnumerationCapError(f"modulus {q} exceeds the enumeration cap {ENUMERATION_CAP}")
         units = [a for a in range(1, q) if math.gcd(a, q) == 1]
         super().__init__(f"units{q}")
         self.q = q
@@ -705,7 +727,7 @@ def generated_perm_group(
 def generated_mat2_group(
     p: int, generators: Iterable[Sequence[int] | Sequence[Sequence[int]]], tag: str | None = None
 ) -> Mat2Group:
-    if not _is_prime(p) or p > 251:
+    if p > 251 or not _is_prime(p):
         raise PlatformValidationError("matrix modulus must be a prime <= 251")
     gens = []
     for g in generators:

@@ -58,9 +58,12 @@ def meta_block(platform: GroupAction, seed: int) -> dict[str, Any]:
 
 
 def dump_json(obj: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise BdgaError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path: str) -> dict[str, Any]:

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdga.cli import main
 from bdga.platforms import preset
@@ -55,39 +57,86 @@ def test_run_rejects_small_party_count(tmp_path):
                    "--out", str(tmp_path / "x")) == 2
 
 
-def test_run_bd_modp_flags(tmp_path):
+def write_descriptor(tmp_path, kind, **params):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"kind": kind, "params": params}))
+    return str(path)
+
+
+def test_run_bd_modp_descriptor_file(tmp_path, capsys):
     out = tmp_path / "bd"
-    code = run_cli("run", "--platform", "bd_modp", "--p", "23", "--g", "2", "--q", "11",
-                   "--n", "3", "--seed", "7", "--out", str(out))
-    assert code == 0
-    assert run_cli("run", "--platform", "bd_modp", "--n", "3", "--seed", "7",
-                   "--out", str(out)) == 2  # missing --p/--g/--q
+    desc = write_descriptor(tmp_path, "bd_modp", p=23, g=2, q=11)
+    assert run_cli("run", "--platform", desc, "--n", "3", "--seed", "7", "--out", str(out)) == 0
+    # the sid `--p 23 --g 2 --q 11` wrote before descriptor files replaced the flags
+    assert read(f"{out}.transcript.json")["sid"] == (
+        "99e8db9375904990fb03774c838b20bdab482290c7c3f92290fccd81e9cfd882")
+    desc = write_descriptor(tmp_path, "bd_modp")
+    assert run_cli("run", "--platform", desc, "--n", "3", "--seed", "7",
+                   "--out", str(out)) == 2  # no p, g or q
+    assert "lacks parameter" in capsys.readouterr().err
 
 
 def test_run_custom_conjugation_platform(tmp_path):
     out = tmp_path / "c"
-    code = run_cli(
-        "run", "--platform", "conjugation", "--degree", "4", "--group", "full",
-        "--base", "2,3,4,1", "--n", "3", "--seed", "2", "--out", str(out),
-    )
-    assert code == 0
-    assert read(f"{out}.transcript.json")["meta"]["platform_descriptor"]["params"]["degree"] == 4
+    desc = write_descriptor(tmp_path, "conjugation", family="perm", degree=4, group="full",
+                            base=[2, 3, 4, 1])
+    assert run_cli("run", "--platform", desc, "--n", "3", "--seed", "2", "--out", str(out)) == 0
+    tobj = read(f"{out}.transcript.json")
+    assert tobj["meta"]["platform_descriptor"]["params"]["degree"] == 4
+    # the sid `--degree 4 --group full --base 2,3,4,1` wrote before the flags went
+    assert tobj["sid"] == "6ba2cea81bc1bdb37b582f0272de944a455791f56ddf64cd81cb000762797039"
 
 
-PERM_300 = ",".join(map(str, [*range(2, 301), 1]))
+def test_run_descriptor_file_matches_its_preset(tmp_path):
+    # a mat2 twisted_conjugacy, which no per-kind flag could build
+    desc = tmp_path / "gl25_twist.json"
+    desc.write_text(json.dumps(preset("gl25_twist").descriptor))
+    by_name, by_file = tmp_path / "name", tmp_path / "file"
+    assert run_cli("run", "--platform", "gl25_twist", "--n", "3", "--seed", "1",
+                   "--out", str(by_name)) == 0
+    assert run_cli("run", "--platform", str(desc), "--n", "3", "--seed", "1",
+                   "--out", str(by_file)) == 0
+    for kind in ("transcript", "keys"):
+        assert (Path(f"{by_name}.{kind}.json").read_bytes()
+                == Path(f"{by_file}.{kind}.json").read_bytes())
+    assert run_cli("verify", f"{by_file}.transcript.json", f"{by_file}.keys.json") == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["--platform", "conjugation", "--degree", "4", "--base", "a"],
-    ["--platform", "conjugation", "--degree", "4", "--base="],
-    ["--platform", "conjugation", "--degree", "4", "--group", "x", "--base", "2,3,4,1"],
-    ["--platform", "double_coset", "--degree", "4", "--base", "2,1,3,4", "--right", "q"],
-    ["--platform", "conjugation", "--degree", "300", "--group", PERM_300, "--base", PERM_300],
+PERM_300 = [*range(2, 301), 1]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("conjugation", {"degree": 4, "base": ["a"]}),
+    ("conjugation", {"degree": 4, "base": []}),
+    ("conjugation", {"degree": 4, "group": [["x"]], "base": [2, 3, 4, 1]}),
+    ("double_coset", {"degree": 4, "base": [2, 1, 3, 4], "right": [["q"]]}),
+    ("conjugation", {"degree": 300, "group": [PERM_300], "base": PERM_300}),
 ], ids=["letter_base", "empty_base", "letter_group", "letter_right", "300_points"])
-def test_run_bad_permutation_input_exits_2(tmp_path, capsys, argv):
-    assert run_cli("run", *argv, "--n", "3", "--out", str(tmp_path / "x")) == 2
+def test_run_bad_permutation_input_exits_2(tmp_path, capsys, kind, params):
+    desc = write_descriptor(tmp_path, kind, family="perm", **params)
+    assert run_cli("run", "--platform", desc, "--n", "3", "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tag", [5, True, ["s4"]])
+def test_run_descriptor_tag_not_a_string_exits_2(tmp_path, capsys, tag):
+    desc = write_descriptor(tmp_path, "conjugation", family="perm", degree=4, base=[2, 3, 4, 1],
+                            tag=tag)
+    assert run_cli("run", "--platform", desc, "--n", "3", "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.startswith("error: platform tag must be a string")
+
+
+@pytest.mark.parametrize("platform", ["conjugation", "no_such_file.json"])
+def test_run_unknown_platform_exits_2(tmp_path, capsys, platform):
+    assert run_cli("run", "--platform", platform, "--n", "3", "--out", str(tmp_path / "x")) == 2
+    assert "neither a preset" in capsys.readouterr().err
+
+
+def test_run_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert run_cli("run", "--platform", "s4_conj", "--n", "3", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 def test_verify_accepts_valid_transcript(session_files, capsys):
@@ -178,6 +227,39 @@ def test_verify_malformed_descriptor_exits_2(session_files, capsys, descriptor):
     Path(tpath).write_text(json.dumps(obj))
     assert run_cli("verify", tpath) == 2
     assert capsys.readouterr().err.startswith("error: platform descriptor")
+
+
+@pytest.mark.parametrize("entries", [[[1], [1]], [1, 1, 0], [[1, 1], [0, 1], [1, 0]],
+                                     [1, 1, 0, 1.0], [[1, 1], [0, True]], "1101", 5],
+                         ids=["short_rows", "three", "three_rows", "float", "bool", "string",
+                              "int"])
+def test_verify_malformed_matrix_entries_exits_2(session_files, capsys, entries):
+    tpath, _ = session_files
+    obj = read(tpath)
+    obj["meta"]["platform_descriptor"] = {
+        "kind": "conjugation", "params": {"family": "mat2", "p": 5, "base": entries}}
+    Path(tpath).write_text(json.dumps(obj))
+    assert run_cli("verify", tpath) == 2
+    assert capsys.readouterr().err.startswith("error: matrix entries must be")
+
+
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"p": M61, "g": 3, "q": 5}, "claimed order is wrong"),
+    ({"p": M61, "g": 37, "q": M61 - 1}, "exceeds the enumeration cap"),
+    ({"p": 2**89 - 1, "g": 3, "q": 5}, "too large to test for primality"),
+], ids=["huge_p", "huge_q", "p_past_bound"])
+def test_verify_huge_modulus_exits_2_at_once(session_files, capsys, params, message):
+    tpath, _ = session_files
+    obj = read(tpath)
+    obj["meta"]["platform_descriptor"] = {"kind": "bd_modp", "params": params}
+    Path(tpath).write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert run_cli("verify", tpath) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [3.5, "3", True], ids=["float_n", "string_n", "bool_n"])
@@ -272,6 +354,20 @@ def test_experiment_ddh_toy_advantage_two_parties_exits_2(capsys):
     assert captured.err.startswith("error: party count 2 < 3") and "PASS" not in captured.out
 
 
+def test_experiment_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "e.json"
+    assert run_cli("experiment", "--experiment", "ddh_toy_advantage", "--trials", "20",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write") and not out.exists()
+
+
+def test_experiment_inconsistent_s_and_n_exits_2(capsys):
+    assert run_cli("experiment", "--experiment", "fake_vs_dist_rand", "--platform", "s4_conj",
+                   "--s", "1", "--n", "11") == 2
+    assert capsys.readouterr().err.startswith("error: party count n = 11 is not 3s + 5")
+
+
 def test_experiment_unknown_name_exits_2(capsys):
     assert run_cli("experiment", "--experiment", "nope") == 2
     assert "unknown experiment" in capsys.readouterr().err
@@ -333,3 +429,85 @@ def test_platforms_listing(capsys):
 def test_usage_error_exits_2():
     assert run_cli("run", "--platform", "bd23") == 2  # missing --n
     assert run_cli() == 2
+
+
+# -- fuzzing verify with single mutations of a `bdga run` artifact pair ----------
+
+# transcript fields and keys-file fields that verify checks: a mutation of
+# any of them must never pass
+CHECKED = {"transcript": {"platform", "n", "v", "w", "Z", "sid"}, "keys": {"sid"}}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-300, 300), st.floats(width=32),
+    st.text(max_size=4), st.lists(st.integers(-3, 30), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+)
+
+
+def json_type(value):
+    return type(value).__name__
+
+
+def leaves(obj, path=()):
+    """Every (path, value) below obj, containers included."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from leaves(value, (*path, key))
+
+
+def is_hex(value):
+    return isinstance(value, str) and value != "" and all(c in "0123456789abcdef" for c in value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    pairs = {}
+    for name in ("bd23", "s4_conj"):
+        assert main(["run", "--platform", name, "--n", "4", "--seed", "3",
+                     "--out", str(root / name)]) == 0
+        pairs[name] = {kind: read(root / f"{name}.{kind}.json") for kind in CHECKED}
+    return root, pairs
+
+
+def mutate(data, pair):
+    """One mutation of one file: a value of another JSON type, a deleted key,
+    one changed hex digit, or an int moved by one."""
+    kind = data.draw(st.sampled_from(sorted(CHECKED)))
+    obj = json.loads(json.dumps(pair[kind]))
+    spots = [path for path, _ in leaves(obj) if path]
+    path = data.draw(st.sampled_from(spots))
+    *parent_path, key = path
+    parent = obj
+    for step in parent_path:
+        parent = parent[step]
+    value = parent[key]
+    ops = ["retype"] + ["delete"] * isinstance(parent, dict) + ["hex"] * is_hex(value) \
+        + ["step"] * (type(value) is int)
+    op = data.draw(st.sampled_from(ops))
+    if op == "retype":
+        parent[key] = data.draw(JSON_VALUES.filter(lambda v: json_type(v) != json_type(value)))
+    elif op == "delete":
+        del parent[key]
+    elif op == "hex":
+        i = data.draw(st.integers(0, len(value) - 1))
+        digit = data.draw(st.sampled_from([c for c in "0123456789abcdef" if c != value[i]]))
+        parent[key] = value[:i] + digit + value[i + 1:]
+    else:
+        parent[key] = value + data.draw(st.sampled_from([-1, 1]))
+    return kind, path, {**pair, kind: obj}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_survives_single_mutations(fuzz_artifacts, data):
+    root, pairs = fuzz_artifacts
+    name = data.draw(st.sampled_from(sorted(pairs)))
+    kind, path, mutated = mutate(data, pairs[name])
+    files = {k: root / f"mutated.{k}.json" for k in ("transcript", "keys")}
+    for k, path_k in files.items():
+        path_k.write_text(json.dumps(mutated[k]))
+    code = main(["verify", str(files["transcript"]), str(files["keys"])])
+    assert code in (0, 1, 2)
+    if path[0] in CHECKED[kind]:
+        assert code != 0, f"{name}: {kind} {path} mutated and still verified"

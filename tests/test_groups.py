@@ -1,5 +1,6 @@
 """Group containers: axioms, canonical encodings, enumeration, sampling."""
 
+import math
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from bdga.groups import (
     extend_homomorphism,
     generated_mat2_group,
     generated_perm_group,
+    _is_prime,
 )
 
 SMALL_GROUPS = [
@@ -161,6 +163,26 @@ def test_modular_group_validation_errors():
         ModCyclicGroup(23, 1, 11)  # g out of range
     with pytest.raises(PlatformValidationError, match="has order 11 mod 23, not 22"):
         ModCyclicGroup(23, 2, 22)  # 2^22 = 1, but 2 has order 11
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-2, 20000) if _is_prime(n)] == [n for n in range(20000) if trial(n)]
+    # strong pseudoprimes to the bases 2..37, 2..11 and 2; Mersenne M61 and M67
+    assert not any(map(_is_prime, (318665857834031151167461, 3215031751, 2047, 2**67 - 1)))
+    assert _is_prime(2**61 - 1) and _is_prime(200087)
+    with pytest.raises(PlatformValidationError, match="too large"):
+        _is_prime(3317044064679887385961981)
+
+
+def test_modular_groups_refuse_orders_past_the_cap():
+    # each check comes before the loop over q that would otherwise run
+    with pytest.raises(EnumerationCapError):
+        ModCyclicGroup(2**61 - 1, 37, 2**61 - 2)
+    with pytest.raises(EnumerationCapError):
+        UnitsModGroup(2**40)
 
 
 @pytest.mark.parametrize("p, g, q", [(23, 2, 11), (200087, 4, 100043)])
