@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels as kern
 from .errors import EnumerationCapError, ForeignElementError, PlatformValidationError
 from .groups import (
     ENUMERATION_CAP,
@@ -29,8 +28,6 @@ from .groups import (
     ModCyclicGroup,
     ProductGroup,
     UnitsModGroup,
-    _Mat2Base,
-    _PermBase,
 )
 
 VALIDATION_TRIPLES = 10_000
@@ -537,19 +534,12 @@ class ExponentAction(GroupAction):
             self.target.payload_len, "big")
 
 
-def _require_same_family(target: FiniteGroup, sub: FiniteGroup, role: str) -> None:
-    perm = isinstance(target, _PermBase) and isinstance(sub, _PermBase)
-    mat = isinstance(target, _Mat2Base) and isinstance(sub, _Mat2Base)
-    if not (perm or mat):
-        raise PlatformValidationError(f"{role} group family does not match the target's")
-    if perm and target.degree != sub.degree:  # type: ignore[attr-defined]
-        raise PlatformValidationError(f"{role} degree differs from the target's")
-    if mat and target.p != sub.p:  # type: ignore[attr-defined]
-        raise PlatformValidationError(f"{role} modulus differs from the target's")
-
-
 def _require_subgroup(target: FiniteGroup, sub: FiniteGroup, role: str) -> None:
-    _require_same_family(target, sub, role)
+    if target.family is None:
+        raise PlatformValidationError(f"{target.tag} is not of a sandwich action's group family")
+    if sub.family != target.family:
+        raise PlatformValidationError(
+            f"{role} group family {sub.family} does not match the target's {target.family}")
     if sub is target:
         return
     if sub.order <= ENUMERATION_CAP:
@@ -570,11 +560,7 @@ class ConjugationAction(GroupAction):
             target,
             target.check(base),
         )
-        if isinstance(target, _PermBase):
-            self._conj = kern.perm_conjugate
-        else:
-            p = target.p  # type: ignore[attr-defined]
-            self._conj = lambda h, x, _p=p: kern.mat2_conjugate(h, x, _p)
+        self._conj = target.conjugate_p
 
     def apply_p(self, h, x):
         return self._conj(h, x)
@@ -613,11 +599,7 @@ class TwistedConjugacyAction(GroupAction):
                 raise PlatformValidationError("endomorphism image leaves the target group")
         if not self._multiplicative(subgroup, target):
             raise PlatformValidationError("endomorphism is not multiplicative")
-        if isinstance(target, _PermBase):
-            self._twist = kern.perm_twisted
-        else:
-            p = target.p  # type: ignore[attr-defined]
-            self._twist = lambda h, x, t, _p=p: kern.mat2_twisted(h, x, t, _p)
+        self._twist = target.twisted_p
 
     def _multiplicative(self, subgroup: FiniteGroup, target: FiniteGroup) -> bool:
         """Whether the images respect the subgroup's products: over both
@@ -674,11 +656,7 @@ class DoubleCosetAction(GroupAction):
         self.left_sub = left_sub
         self.right_sub = right_sub
         self._cut = left_sub.payload_len
-        if isinstance(target, _PermBase):
-            self._sandwich = kern.perm_sandwich
-        else:
-            p = target.p  # type: ignore[attr-defined]
-            self._sandwich = lambda h, x, j, _p=p: kern.mat2_sandwich(h, x, j, _p)
+        self._sandwich = target.sandwich_p
 
     def apply_p(self, hj, x):
         return self._sandwich(hj[: self._cut], x, hj[self._cut :])

@@ -308,7 +308,9 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
                    s: int | None = None, n: int | None = None,
                    trials: int | None = None, seed: int = 0,
                    tolerance: float | None = None, **opts) -> dict:
-    """Dispatch a named suite with its documented defaults filled in."""
+    """Dispatch a named suite with its documented defaults filled in. The
+    two n-suites, ``fake_key_independence`` and ``ddh_toy_advantage``, take
+    a party count n and refuse s with BdgaError."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     if type(seed) is not int:
@@ -316,6 +318,9 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
     for label, value in (("n", n), ("s", s)):
         if value is not None and type(value) is not int:
             raise BdgaError(f"{label} must be an integer, got {value!r}")
+    n_suite = name in ("fake_key_independence", "ddh_toy_advantage")
+    if n_suite and s is not None:
+        raise BdgaError(f"{name} takes a party count n, not a hybrid block count s")
     if tolerance is not None:
         if type(tolerance) is bool or not isinstance(tolerance, (int, float)):
             raise BdgaError(f"tolerance must be a real number, got {tolerance!r}")
@@ -327,7 +332,7 @@ def run_experiment(name: str, platform: GroupAction | str | None = None, *,
     if isinstance(platform, str):
         platform = preset(platform)
     kwargs: dict = {"seed": seed}
-    if name in ("fake_key_independence", "ddh_toy_advantage"):
+    if n_suite:
         kwargs["n"] = n if n is not None else defaults["n"]
         kwargs["trials"] = trials if trials is not None else defaults["trials"]
         if tolerance is not None:

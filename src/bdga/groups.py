@@ -39,14 +39,18 @@ class FiniteGroup:
     """Base class: payload-level operations plus element-level wrappers.
 
     Subclasses implement ``compose_p``, ``invert_p``, ``identity_p``,
-    ``order``, ``payload_len`` and ``_enumerate_p``. A subclass that
-    overrides ``sample_p`` overrides ``_draw_index`` to match it.
+    ``order``, ``payload_len``, and ``_enumerate_p`` unless they set
+    ``_elements_p`` on construction. A subclass that overrides ``sample_p``
+    overrides ``_draw_index`` to match it. The two element families the
+    sandwich actions run over, ``_PermBase`` and ``_Mat2Base``, name
+    themselves in ``family``; it is None on every other group.
     """
 
     tag: str
     order: int
     payload_len: int
     identity_p: bytes
+    family: tuple[str, int] | None = None
 
     def __init__(self, tag: str):
         self.tag = tag
@@ -150,6 +154,25 @@ class FiniteGroup:
         return f"<{type(self).__name__} {self.tag} order={self.order}>"
 
 
+class _ExplicitGroup(FiniteGroup):
+    """An explicit subgroup, mixed in ahead of its family base: sorted
+    elements, tagged ``_tag_format`` of the family parameter plus 8 hex
+    digits of their SHA-256 unless a tag is given."""
+
+    _tag_format: str
+
+    def __init__(self, param: int, elements: Iterable[bytes], tag: str | None = None):
+        els = sorted(set(elements))
+        if tag is None:
+            digest = hashlib.sha256(b"".join(els)).hexdigest()[:8]
+            tag = f"{self._tag_format.format(param)}[{digest}]"
+        super().__init__(tag, param)
+        self.order = len(els)
+        self._elements_p = els
+        if self.identity_p not in els:
+            raise PlatformValidationError(f"element set for {tag} lacks the identity")
+
+
 # -- permutation groups ----------------------------------------------------
 
 
@@ -173,7 +196,32 @@ def cycles_payload(degree: int, *cycles: Sequence[int]) -> bytes:
 
 
 class _PermBase(FiniteGroup):
-    degree: int
+    """The permutation family: one-line images of 1..degree, one byte each.
+
+    A family base holds what actions and platform builders would otherwise
+    branch on: ``family``, here ("perm", degree), equal for groups whose
+    payloads and products agree; ``encode(entries)``, an element's payload;
+    ``generated(generators, tag)``, the subgroup they generate; and the
+    sandwich kernels ``conjugate_p(h, x)`` = h^-1 x h,
+    ``sandwich_p(h, x, j)`` = h x j and ``twisted_p(h, x, t)`` = h^-1 x t,
+    here the ``_kernels`` functions themselves.
+    """
+
+    encode = staticmethod(perm_payload)
+    conjugate_p = staticmethod(kern.perm_conjugate)
+    sandwich_p = staticmethod(kern.perm_sandwich)
+    twisted_p = staticmethod(kern.perm_twisted)
+
+    def __init__(self, tag: str, degree: int):
+        super().__init__(tag)
+        self.degree = degree
+        self.family = ("perm", degree)
+        self.payload_len = degree
+        self.identity_p = bytes(range(1, degree + 1))
+
+    def generated(self, generators: Iterable[Sequence[int]],
+                  tag: str | None = None) -> "PermutationGroup":
+        return generated_perm_group(self.degree, generators, tag=tag)
 
     def compose_p(self, a, b):
         return kern.perm_compose(a, b)
@@ -207,11 +255,8 @@ class SymmetricGroup(_PermBase):
     def __init__(self, m: int):
         if not 1 <= m <= 64:
             raise PlatformValidationError("symmetric group degree must be in 1..64")
-        super().__init__(f"s{m}")
-        self.degree = m
+        super().__init__(f"s{m}", m)
         self.order = math.factorial(m)
-        self.payload_len = m
-        self.identity_p = bytes(range(1, m + 1))
 
     def _enumerate_p(self):
         return [bytes(p) for p in itertools.permutations(range(1, self.degree + 1))]
@@ -245,25 +290,11 @@ class SymmetricGroup(_PermBase):
         return order
 
 
-class PermutationGroup(_PermBase):
-    """An explicit subgroup of the permutations of 1..degree."""
+class PermutationGroup(_ExplicitGroup, _PermBase):
+    """An explicit subgroup of the permutations of 1..degree:
+    ``PermutationGroup(degree, elements, tag=None)``."""
 
-    def __init__(self, degree: int, elements: Iterable[bytes], tag: str | None = None):
-        els = sorted(set(elements))
-        if tag is None:
-            digest = hashlib.sha256(b"".join(els)).hexdigest()[:8]
-            tag = f"perm{degree}[{digest}]"
-        super().__init__(tag)
-        self.degree = degree
-        self.order = len(els)
-        self.payload_len = degree
-        self.identity_p = bytes(range(1, degree + 1))
-        self._elements_p = els
-        if self.identity_p not in set(els):
-            raise PlatformValidationError(f"element set for {tag} lacks the identity")
-
-    def _enumerate_p(self):
-        return self._elements_p
+    _tag_format = "perm{}"
 
 
 # -- 2x2 matrix groups mod p -------------------------------------------------
@@ -285,7 +316,26 @@ def _det(a: bytes, p: int) -> int:
 
 
 class _Mat2Base(FiniteGroup):
-    p: int
+    """The 2x2-matrix family mod a prime p, row-major, one byte an entry:
+    ``_PermBase``'s contract with ``family`` ("mat2", p) and the
+    ``_kernels`` matrix functions bound to p."""
+
+    def __init__(self, tag: str, p: int):
+        super().__init__(tag)
+        self.p = p
+        self.family = ("mat2", p)
+        self.payload_len = 4
+        self.identity_p = bytes((1, 0, 0, 1))
+        self.conjugate_p = lambda h, x: kern.mat2_conjugate(h, x, p)
+        self.sandwich_p = lambda h, x, j: kern.mat2_sandwich(h, x, j, p)
+        self.twisted_p = lambda h, x, t: kern.mat2_twisted(h, x, t, p)
+
+    def encode(self, entries: Sequence[int] | Sequence[Sequence[int]]) -> bytes:
+        return mat2_payload(entries, self.p)
+
+    def generated(self, generators: Iterable[Sequence[int] | Sequence[Sequence[int]]],
+                  tag: str | None = None) -> "Mat2Group":
+        return generated_mat2_group(self.p, generators, tag=tag)
 
     def compose_p(self, a, b):
         return kern.mat2_compose(a, b, self.p)
@@ -324,11 +374,8 @@ class GL2Group(_Mat2Base):
     def __init__(self, p: int):
         if not (2 <= p <= 251 and _is_prime(p)):
             raise PlatformValidationError("matrix modulus must be a prime <= 251")
-        super().__init__(f"gl2_{p}")
-        self.p = p
+        super().__init__(f"gl2_{p}", p)
         self.order = (p * p - 1) * (p * p - p)
-        self.payload_len = 4
-        self.identity_p = bytes((1, 0, 0, 1))
 
     def _enumerate_p(self):
         rng4 = itertools.product(range(self.p), repeat=4)
@@ -342,25 +389,10 @@ class GL2Group(_Mat2Base):
         )
 
 
-class Mat2Group(_Mat2Base):
-    """An explicit subgroup of GL(2, p)."""
+class Mat2Group(_ExplicitGroup, _Mat2Base):
+    """An explicit subgroup of GL(2, p): ``Mat2Group(p, elements, tag=None)``."""
 
-    def __init__(self, p: int, elements: Iterable[bytes], tag: str | None = None):
-        els = sorted(set(elements))
-        if tag is None:
-            digest = hashlib.sha256(b"".join(els)).hexdigest()[:8]
-            tag = f"mat2_{p}[{digest}]"
-        super().__init__(tag)
-        self.p = p
-        self.order = len(els)
-        self.payload_len = 4
-        self.identity_p = bytes((1, 0, 0, 1))
-        self._elements_p = els
-        if self.identity_p not in set(els):
-            raise PlatformValidationError(f"element set for {tag} lacks the identity")
-
-    def _enumerate_p(self):
-        return self._elements_p
+    _tag_format = "mat2_{}"
 
 
 # -- modular-arithmetic groups ------------------------------------------------
@@ -434,9 +466,6 @@ class ModCyclicGroup(FiniteGroup):
         self.identity_p = (1).to_bytes(self.payload_len, "big")
         self._elements_p = [v.to_bytes(self.payload_len, "big") for v in powers]
 
-    def _enumerate_p(self):
-        return self._elements_p
-
     def compose_p(self, a, b):
         return (int.from_bytes(a, "big") * int.from_bytes(b, "big") % self.p).to_bytes(
             self.payload_len, "big")
@@ -499,9 +528,6 @@ class UnitsModGroup(FiniteGroup):
         self.payload_len = (q.bit_length() + 7) // 8
         self.identity_p = (1).to_bytes(self.payload_len, "big")
         self._elements_p = [v.to_bytes(self.payload_len, "big") for v in units]
-
-    def _enumerate_p(self):
-        return self._elements_p
 
     def compose_p(self, a, b):
         return (int.from_bytes(a, "big") * int.from_bytes(b, "big") % self.q).to_bytes(

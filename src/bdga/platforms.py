@@ -25,8 +25,6 @@ from .groups import (
     extend_homomorphism,
     generated_mat2_group,
     generated_perm_group,
-    mat2_payload,
-    perm_payload,
 )
 
 KINDS = ("bd_modp", "conjugation", "twisted_conjugacy", "double_coset")
@@ -56,17 +54,11 @@ def _build_subgroup(target: FiniteGroup, params: dict, key: str) -> FiniteGroup:
         return target
     if source == "full":
         return _build_target({**params, "group": "full", "group_tag": tag})
-    if params["family"] == "perm":
-        return generated_perm_group(params["degree"], source, tag=tag)
-    return generated_mat2_group(params["p"], source, tag=tag)
+    return target.generated(source, tag)
 
 
 def _base_element(target: FiniteGroup, params: dict) -> GroupElement:
-    base = params["base"]
-    if params["family"] == "perm":
-        payload = perm_payload(base)
-    else:
-        payload = mat2_payload(base, params["p"])
+    payload = target.encode(params["base"])
     if not target.contains_p(payload):
         raise PlatformValidationError("base point is not an element of the target group")
     return target.wrap(payload)
@@ -75,17 +67,13 @@ def _base_element(target: FiniteGroup, params: dict) -> GroupElement:
 def _build_endo(target: FiniteGroup, subgroup: FiniteGroup, params: dict):
     endo = params.get("endo", "transpose_inverse")
     if endo == "transpose_inverse":
-        if params["family"] != "mat2":
+        if target.family[0] != "mat2":
             raise PlatformValidationError("transpose_inverse endomorphism needs a matrix group")
-        p = params["p"]
+        p = target.p
         return (lambda a: kern.mat2_transpose_invert(a, p)), "transpose_inverse"
     # generator-image table, extended multiplicatively over the subgroup
-    if params["family"] == "perm":
-        gens = [perm_payload(g) for g in endo["gens"]]
-        images = [perm_payload(g) for g in endo["images"]]
-    else:
-        gens = [mat2_payload(g, params["p"]) for g in endo["gens"]]
-        images = [mat2_payload(g, params["p"]) for g in endo["images"]]
+    gens = [target.encode(g) for g in endo["gens"]]
+    images = [target.encode(g) for g in endo["images"]]
     table = extend_homomorphism(
         gens, images, subgroup.compose_p, subgroup.identity_p, subgroup.identity_p
     )

@@ -13,6 +13,7 @@ import pytest
 from bdga.actions import (
     VALIDATION_TRIPLES,
     ConjugationAction,
+    DoubleCosetAction,
     TwistedConjugacyAction,
     _generating_set,
     double_act,
@@ -22,7 +23,7 @@ from bdga.errors import (
     ForeignElementError,
     PlatformValidationError,
 )
-from bdga.groups import GL2Group, SymmetricGroup, generated_perm_group
+from bdga.groups import GL2Group, ModCyclicGroup, SymmetricGroup, generated_perm_group
 from bdga.platforms import PRESET_NAMES, make_platform, platform_from_descriptor, preset
 
 # -- independent mini-oracles ---------------------------------------------------
@@ -315,6 +316,35 @@ def test_make_platform_rejects_bad_parameters():
             # an involution cannot map to a 3-cycle
             endo={"gens": [[2, 1, 3], [2, 3, 1]], "images": [[2, 3, 1], [2, 3, 1]]},
         )
+
+
+def sandwich_actions(target, sub):
+    """Each sandwich action built with ``sub`` in one subgroup role."""
+    base = target.identity()
+    yield lambda: ConjugationAction(target, sub, base)
+    yield lambda: TwistedConjugacyAction(target, sub, base, lambda h: h, "identity")
+    yield lambda: DoubleCosetAction(target, sub, target, base)
+    yield lambda: DoubleCosetAction(target, target, sub, base)
+
+
+@pytest.mark.parametrize("target, sub", [
+    (SymmetricGroup(4), SymmetricGroup(3)),
+    (GL2Group(5), GL2Group(3)),
+    (SymmetricGroup(4), GL2Group(3)),
+    (GL2Group(3), SymmetricGroup(4)),
+], ids=["perm_degree", "mat2_modulus", "perm_vs_mat2", "mat2_vs_perm"])
+def test_sandwich_actions_refuse_a_subgroup_of_another_family(target, sub):
+    # refused by the family check, before any membership test
+    for build in sandwich_actions(target, sub):
+        with pytest.raises(PlatformValidationError, match="family|differs"):
+            build()
+
+
+def test_sandwich_actions_refuse_a_target_outside_the_families():
+    cyclic = ModCyclicGroup(23, 2, 11)
+    for build in sandwich_actions(cyclic, cyclic):
+        with pytest.raises(PlatformValidationError, match="family"):
+            build()
 
 
 @pytest.mark.parametrize("p", [3, 5])

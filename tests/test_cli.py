@@ -368,6 +368,16 @@ def test_experiment_inconsistent_s_and_n_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: party count n = 11 is not 3s + 5")
 
 
+@pytest.mark.parametrize("suite, s", [("ddh_toy_advantage", 5), ("fake_key_independence", 2)])
+def test_experiment_n_suite_refuses_s(tmp_path, capsys, suite, s):
+    # these suites take a party count n: an s would be dropped from the run
+    out = tmp_path / "e.json"
+    assert run_cli("experiment", "--experiment", suite, "--s", str(s), "--trials", "20",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {suite} takes a party count n")
+    assert not out.exists()
+
+
 def test_experiment_unknown_name_exits_2(capsys):
     assert run_cli("experiment", "--experiment", "nope") == 2
     assert "unknown experiment" in capsys.readouterr().err
@@ -463,7 +473,7 @@ def is_hex(value):
 def fuzz_artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     pairs = {}
-    for name in ("bd23", "s4_conj"):
+    for name in ("bd23", "s4_conj", "gl25_twist", "sl23_dcoset"):
         assert main(["run", "--platform", name, "--n", "4", "--seed", "3",
                      "--out", str(root / name)]) == 0
         pairs[name] = {kind: read(root / f"{name}.{kind}.json") for kind in CHECKED}

@@ -139,6 +139,14 @@ def test_generated_subgroup_closure():
     assert c23.order == 23
 
 
+def test_untagged_generated_groups_are_tagged_by_their_elements():
+    # a group's tag is hashed into every session id over it, so these stay fixed
+    assert generated_perm_group(4, [[2, 3, 1, 4], [1, 3, 4, 2]]).tag == "perm4[4cac333d]"
+    assert generated_perm_group(5, [[2, 3, 4, 5, 1]]).tag == "perm5[14ea6c26]"
+    assert generated_mat2_group(3, [[1, 1, 0, 1], [0, 2, 1, 0]]).tag == "mat2_3[a90afa68]"
+    assert generated_mat2_group(5, [[1, 1, 0, 1]]).tag == "mat2_5[fdce0853]"
+
+
 def test_explicit_set_must_be_closed():
     with pytest.raises(PlatformValidationError):
         explicit_perm_group(3, [[1, 2, 3], [2, 3, 1]])  # missing the inverse 3-cycle
