@@ -74,11 +74,21 @@ class ActionTables:
         self.act_flat = memoryview(self.act.reshape(-1))
 
     @functools.cached_property
-    def fiber_counts_flat(self) -> memoryview:
-        """Entry x * |G| + y: how many acting elements move x to y."""
+    def mul_rows(self) -> list[memoryview]:
+        """Row t of the target's product table: ``mul_rows[t][b]`` is the
+        index of t * b, a slice of ``G.mul_flat`` (no copy)."""
+        flat, ng = self.G.mul_flat, self.G.order
+        return [flat[t:t + ng] for t in range(0, ng * ng, ng)]
+
+    @functools.cached_property
+    def fiber_columns(self) -> list[memoryview]:
+        """Column w of the fiber counts: ``fiber_columns[w][x]`` is how many
+        acting elements move x to w, a strided view of one count matrix."""
         ng = self.G.order
-        cells = self.act + np.arange(ng, dtype=np.int64) * ng
-        return memoryview(np.bincount(cells.ravel(), minlength=ng * ng))
+        cells = self.act + np.arange(ng, dtype=np.int64) * ng  # x * |G| + apply(h, x)
+        counts = np.bincount(cells.ravel(), minlength=ng * ng).reshape(ng, ng)
+        counts.flags.writeable = False
+        return [memoryview(counts[:, w]) for w in range(ng)]
 
 
 class GroupAction:

@@ -146,13 +146,13 @@ def fake_vs_dist_rand(platform, s, trials, seed, tolerance=DEFAULT_TOLERANCE,
 
 def exact_conditional_tv(platform: GroupAction, weights: dict[bytes, int]) -> Fraction:
     """Exact total variation between an integer-weighted key distribution and
-    the uniform distribution over the whole target group."""
+    the uniform distribution over the whole target group: with weights w_k
+    summing to W over a support of s keys in a group of order N,
+    (sum_k |w_k N - W| + (N - s) W) / (2 W N), one Fraction of integer sums."""
     total = sum(weights.values())
     order = platform.target.order
-    acc = Fraction(0)
-    for payload in platform.target.elements_p():
-        acc += abs(Fraction(weights.get(payload, 0), total) - Fraction(1, order))
-    return acc / 2
+    gap = sum(abs(w * order - total) for w in weights.values())
+    return Fraction(gap + (order - len(weights)) * total, 2 * total * order)
 
 
 def fake_key_independence(platform, n, trials, seed, tolerance=0.0,

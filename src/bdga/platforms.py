@@ -34,6 +34,8 @@ def _build_target(params: dict) -> FiniteGroup:
     family = params.get("family")
     source = params.get("group", "full")
     tag = params.get("group_tag")
+    if tag is not None and source == "full":
+        raise PlatformValidationError("group_tag names a generated group only, not group='full'")
     if family == "perm":
         degree = params["degree"]
         if source == "full":
@@ -50,10 +52,13 @@ def _build_target(params: dict) -> FiniteGroup:
 def _build_subgroup(target: FiniteGroup, params: dict, key: str) -> FiniteGroup:
     source = params.get(key, "group")
     tag = params.get(f"{key}_tag")
+    if tag is not None and source in ("group", "full"):
+        raise PlatformValidationError(
+            f"{key}_tag names a generated {key} group only, not {key}={source!r}")
     if source == "group":
         return target
     if source == "full":
-        return _build_target({**params, "group": "full", "group_tag": tag})
+        return _build_target({**params, "group": "full", "group_tag": None})
     return target.generated(source, tag)
 
 

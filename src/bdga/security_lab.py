@@ -35,7 +35,14 @@ with a closed-form 95% interval for that partition distance. Each side is
 drawn as one batch of index rows and every ``Partition`` maps those rows to
 buckets, so every TV statistic buckets batch rows.
 ``exact_key_conditional`` computes, by exhaustive enumeration, the exact
-conditional distribution of the key given a fake transcript.
+conditional distribution of the key given a fake transcript. The links of
+every translate t are one C-level ``itemgetter`` gather from row t of the
+target's product table (``ActionTables.mul_rows``); the translate's weight
+is the product of the observed w's fiber columns at those links
+(``ActionTables.fiber_columns``), an exact Python int; the weights are
+returned per key in the order of each key's first translate. No numpy call
+is made per transcript: at these group orders numpy's per-call overhead
+outweighs what it saves.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from random import Random
 from typing import Callable, Sequence
 
@@ -50,7 +58,7 @@ import numpy as np
 
 from . import actions
 from .actions import GroupAction, IndexStream
-from .errors import DegenerateExclusionError, RegimeError
+from .errors import DegenerateExclusionError, ForeignElementError, RegimeError
 from .groups import GroupElement
 from .harness import derive_seed
 from .protocol import Transcript
@@ -489,36 +497,51 @@ def exact_key_conditional(platform: GroupAction, sample: DistributionSample) -> 
     product of the first k broadcast values. Each translate t is weighted by
     the number of pair-key vectors reproducing the observed w's: for each
     link x, the size of the fiber of w over x (a coset of Stab_H(x), or
-    empty). Returns integer weights per key payload (unnormalized;
-    zero-weight keys omitted), in the order of each key's first translate.
+    empty).
 
-    The fiber sizes and products are read from the platform's tables, so a
-    platform that is not tabulable raises EnumerationCapError.
+    The enumeration runs over the platform's tables. Row t of the product
+    table (``mul_rows[t]``) gives all n links of translate t in one
+    ``itemgetter`` gather at the prefix indices a_k; the weight is the
+    product of the fiber columns of the observed w's (``fiber_columns[w]``)
+    at those links, an exact Python int however many parties there are; the
+    key folds the links along the same rows. Returns integer weights per key
+    payload (unnormalized; zero-weight keys omitted), in the order of each
+    key's first translate.
+
+    A transcript of another platform, or one holding a payload outside the
+    target group, raises ForeignElementError; a party count below 3 raises
+    RegimeError; a platform that is not tabulable raises
+    EnumerationCapError.
     """
-    return _table_key_conditional(platform.tables, sample.transcript)
+    transcript = sample.transcript
+    if transcript.platform != platform.tag:
+        raise ForeignElementError(
+            f"transcript of platform {transcript.platform!r} given to {platform.tag!r}")
+    if transcript.n < 3:
+        raise RegimeError(f"party count {transcript.n} < 3")
+    return _table_key_conditional(platform.tables, transcript)
 
 
 def _table_key_conditional(tables, transcript: Transcript) -> dict[bytes, int]:
     G = tables.G
-    index, mul, ng, counts = G.index, G.mul_flat, G.order, tables.fiber_counts_flat
-    n = transcript.n
+    rows, columns, elements = tables.mul_rows, tables.fiber_columns, G.elements
+    actions._indices(G.index, G.group, transcript.v)  # checked, never read
+    ws = actions._indices(G.index, G.group, transcript.w)
+    zs = actions._indices(G.index, G.group, transcript.z)
+    fibers = [columns[w] for w in ws]
     prefix = [G.identity]
-    for zval in transcript.z[: n - 1]:
-        prefix.append(mul[prefix[-1] * ng + index[zval]])
-    ws = [index[w] for w in transcript.w]
+    for z in zs[: transcript.n - 1]:
+        prefix.append(rows[prefix[-1]][z])
+    gather = itemgetter(*prefix)
     weights: dict[bytes, int] = {}
-    for row in range(0, ng * ng, ng):  # row t * |G| of the product table
-        links = [mul[row + a] for a in prefix]
-        weight = 1
-        for x, w in zip(links, ws):
-            weight *= counts[x * ng + w]
-            if not weight:
-                break
+    for row in rows:
+        links = gather(row)
+        weight = math.prod(map(getitem, fibers, links))
         if weight:
             sk = links[0]
             for x in links[1:]:
-                sk = mul[sk * ng + x]
-            key = G.elements[sk]
+                sk = rows[sk][x]
+            key = elements[sk]
             weights[key] = weights.get(key, 0) + weight
     return weights
 

@@ -127,6 +127,22 @@ def test_run_descriptor_tag_not_a_string_exits_2(tmp_path, capsys, tag):
     assert capsys.readouterr().err.startswith("error: platform tag must be a string")
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("conjugation", {"subgroup": "full", "subgroup_tag": "mine"}),
+    ("conjugation", {"subgroup": "group", "subgroup_tag": "mine"}),
+    ("conjugation", {"group_tag": "mine"}),
+    ("double_coset", {"left": "full", "left_tag": "L"}),
+    ("double_coset", {"right": "group", "right_tag": "R"}),
+], ids=["subgroup_full", "subgroup_group", "group_full", "left_full", "right_group"])
+def test_run_tag_of_an_ungenerated_group_exits_2(tmp_path, capsys, kind, params):
+    # a tag names a generated group; on "full" or "group" it would be dropped
+    desc = write_descriptor(tmp_path, kind, family="perm", degree=4, group="full",
+                            base=[2, 3, 4, 1], **params)
+    assert run_cli("run", "--platform", desc, "--n", "3", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "_tag names a generated" in err
+
+
 @pytest.mark.parametrize("platform", ["conjugation", "no_such_file.json"])
 def test_run_unknown_platform_exits_2(tmp_path, capsys, platform):
     assert run_cli("run", "--platform", platform, "--n", "3", "--out", str(tmp_path / "x")) == 2

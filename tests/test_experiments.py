@@ -1,13 +1,22 @@
 """Named experiment suites: dispatch, defaults, result structure."""
 
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import bdga
 from bdga.errors import RegimeError
-from bdga.experiments import EXPERIMENTS, fakeprime_vs_dist_dh, run_experiment
+from bdga.experiments import (
+    EXPERIMENTS,
+    exact_conditional_tv,
+    fakeprime_vs_dist_dh,
+    run_experiment,
+)
+from bdga.harness import derive_seed
 from bdga.platforms import preset
+from bdga.security_lab import exact_key_conditional, sample_fake
 
 
 def test_experiment_name_set_is_stable():
@@ -96,6 +105,22 @@ def test_fake_key_independence_result_is_pinned():
         "null_trials": 2000,
         "null_bound": 0.06708203932499368,
     }
+
+
+@pytest.mark.parametrize("name", ["c23_dcoset", "sl23_dcoset"])
+def test_exact_conditional_tv_is_the_per_element_sum(name):
+    # the one-Fraction closed form against 1/2 sum_x |P(x) - 1/|G||, term by
+    # term over the target, on the fake samples fake_key_independence draws
+    pf = preset(name)
+    order = pf.target.order
+    for t in range(6):
+        sample = sample_fake(pf, 4, Random(derive_seed(5, "ki", t)))
+        weights = exact_key_conditional(pf, sample)
+        total = sum(weights.values())
+        want = sum(abs(Fraction(weights.get(x, 0), total) - Fraction(1, order))
+                   for x in pf.target.elements_p()) / 2
+        assert exact_conditional_tv(pf, weights) == want
+    assert exact_conditional_tv(pf, {pf.base_p: 7}) == Fraction(order - 1, order)
 
 
 def test_ddh_toy_advantage_result_is_pinned():

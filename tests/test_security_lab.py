@@ -1,6 +1,7 @@
 """Distribution samplers, challenge tuples, distance estimation, and the
 exact key-conditional analysis."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -14,7 +15,12 @@ from brute_force import brute_force_conditional
 from named_platforms import UNTABULABLE, platform_named
 
 from bdga.actions import IndexStream
-from bdga.errors import DegenerateExclusionError, EnumerationCapError, RegimeError
+from bdga.errors import (
+    DegenerateExclusionError,
+    EnumerationCapError,
+    ForeignElementError,
+    RegimeError,
+)
 from bdga.harness import derive_seed
 from bdga.platforms import PRESET_NAMES, make_platform, preset
 from bdga.protocol import SessionConfig, oracle_key, run_session
@@ -513,6 +519,47 @@ def test_exact_conditional_refuses_an_untabulable_platform():
     sample = sample_fake(s10, 3, Random(0))
     with pytest.raises(EnumerationCapError):
         exact_key_conditional(s10, sample)
+
+
+@pytest.mark.parametrize("name", ["s4_dcoset", "sl23_dcoset"])
+def test_exact_conditional_refuses_a_foreign_transcript(name):
+    # an s4_conj transcript: s4_dcoset has the same target group, sl23_dcoset
+    # none of its payloads
+    sample = sample_fake(S4, 4, Random(3))
+    with pytest.raises(ForeignElementError, match="s4_conj"):
+        exact_key_conditional(preset(name), sample)
+
+
+@pytest.mark.parametrize("field", ["v", "w", "z"])
+def test_exact_conditional_refuses_a_payload_outside_the_target(field):
+    pf = preset("c23_dcoset")
+    sample = sample_fake(pf, 4, Random(5))
+    t = sample.transcript
+    forged = getattr(t, field)[:2] + (bytes(23),) + getattr(t, field)[3:]
+    sample = dataclasses.replace(sample, transcript=dataclasses.replace(t, **{field: forged}))
+    with pytest.raises(ForeignElementError, match="c23"):
+        exact_key_conditional(pf, sample)
+
+
+def test_exact_conditional_refuses_fewer_than_three_parties():
+    sample = sample_fake(S4, 3, Random(1))
+    t = sample.transcript
+    short = dataclasses.replace(t, n=2, v=t.v[:2], w=t.w[:2], z=t.z[:2])
+    with pytest.raises(RegimeError):
+        exact_key_conditional(S4, dataclasses.replace(sample, transcript=short))
+
+
+def test_exact_conditional_weights_past_int64():
+    # on sl23_dcoset every fiber holds 24 pair keys, so at n = 14 each of the
+    # 24 translates weighs 24^14 > 2^63: the weights are exact Python ints
+    pf = preset("sl23_dcoset")
+    sample = sample_fake(pf, 14, Random(derive_seed(0, "int64")))
+    got = exact_key_conditional(pf, sample)
+    want = brute_force_conditional(pf, sample)
+    assert got == want
+    assert list(got) == list(want)
+    assert all(type(w) is int for w in got.values())
+    assert 24**14 > 2**63 and sum(got.values()) == 24 * 24**14
 
 
 def test_prime_order_regular_platform_is_exactly_uniform():

@@ -101,10 +101,10 @@ def test_table_path_rejects_a_foreign_witness():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_table_conditional_matches_fibers(name):
     # exact_key_conditional reads the fiber sizes off the action table: against
-    # an apply_p count on every preset, at n = 3, 4 and 5
+    # an apply_p count on every preset, at n = 3, 4, 5 and 6
     pf = preset(name)
     for t in range(6):
-        sample = security_lab.sample_fake(pf, 3 + t % 3, Random(derive_seed(t, "cond", name)))
+        sample = security_lab.sample_fake(pf, 3 + t % 4, Random(derive_seed(t, "cond", name)))
         got = security_lab.exact_key_conditional(pf, sample)
         want = brute_force_conditional(pf, sample)
         assert got == want
