@@ -2,7 +2,10 @@
 
 Permutation payloads are one-line images over 1..m, one byte per point.
 Matrix payloads are 2x2 row-major entries mod a prime p < 256, one byte each.
+Modular payloads are residues mod p, fixed-width big-endian integers.
 """
+
+import itertools
 
 # Permutation kernels run in C through bytes.translate. A payload p of degree
 # m <= 255 becomes the 256-byte lookup table b"\0" + p + padding, which maps
@@ -18,14 +21,22 @@ def perm_compose(a, b):
     return b.translate(b"\0" + a + _PAD[len(a):])
 
 
-def perm_scan(x, seq):
-    # the prefix products [x, x.s0, x.s0.s1, ...], the pad built once
+def perm_key(x, seq, k):
+    # the fold of FiniteGroup.key_p: L_k...L_m . L_0...L_{k-1} over the ladder
+    # L_0 = x, L_{j+1} = L_j.seq[j], from two accumulators, the pad built once
     pad = _PAD[len(x):]
-    out = [x]
-    for s in seq:
+    it = iter(seq)
+    if k:
+        head = x
+        for s in itertools.islice(it, k - 1):
+            x = s.translate(b"\0" + x + pad)
+            head = x.translate(b"\0" + head + pad)
+        x = next(it).translate(b"\0" + x + pad)
+    tail = x
+    for s in it:
         x = s.translate(b"\0" + x + pad)
-        out.append(x)
-    return out
+        tail = x.translate(b"\0" + tail + pad)
+    return head.translate(b"\0" + tail + pad) if k else tail
 
 
 def perm_prod(x, seq):
@@ -92,3 +103,31 @@ def mat2_twisted(h, x, t, p):
 
 def mat2_transpose_invert(a, p):
     return mat2_invert(bytes((a[0], a[2], a[1], a[3])), p)
+
+
+# Modular kernels fold Python ints mod p, one from_bytes per payload and one
+# to_bytes per result, for payloads of ``width`` big-endian bytes.
+
+
+def modp_key(x, seq, k, p, width):
+    # perm_key on residues mod p
+    it = map(int.from_bytes, seq, itertools.repeat("big"))
+    v = int.from_bytes(x, "big")
+    if k:
+        head = v
+        for s in itertools.islice(it, k - 1):
+            v = v * s % p
+            head = head * v % p
+        v = v * next(it) % p
+    tail = v
+    for s in it:
+        v = v * s % p
+        tail = tail * v % p
+    return (tail * head % p if k else tail).to_bytes(width, "big")
+
+
+def modp_prod(seq, p, width):
+    v = 1
+    for s in map(int.from_bytes, seq, itertools.repeat("big")):
+        v = v * s % p
+    return v.to_bytes(width, "big")

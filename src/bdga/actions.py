@@ -250,14 +250,16 @@ def _generating_set(H: GroupTable) -> list[int]:
 # -- element operations ------------------------------------------------------------
 #
 # The samplers and the protocol are each written once over an element-ops
-# backend: draws from the two groups, products, inverses, the action, the
-# folds of the key pass (a prefix-product ``scan`` and an ordered ``prod``),
-# and the conversions between payloads and elements. On tabulable platforms the
-# elements are indices into the platform's tables; otherwise they are the
-# payloads themselves. Both per-trial backends draw from a Random exactly as
-# the groups' sample_p do, so a seed gives the same bytes on either. A batch
-# backend runs the samplers once over whole IndexStream batches: its elements
-# are arrays of indices, one entry per trial.
+# backend: draws from the two groups, products, inverses, the action, two
+# folds (the ordered ``prod`` of the samplers' links, and the protocol's
+# ``key``, ``FiniteGroup.key_p``: one party's ladder multiplied out from a
+# start position, with no ladder kept), and the conversions between payloads
+# and elements. On tabulable platforms the elements are indices into the
+# platform's tables; otherwise they are the payloads themselves. Both
+# per-trial backends draw from a Random exactly as the groups' sample_p do,
+# so a seed gives the same bytes on either. A batch backend runs the samplers
+# once over whole IndexStream batches: its elements are arrays of indices,
+# one entry per trial.
 
 
 def _records():
@@ -313,7 +315,7 @@ class _ByteOps(_TrialOps):
         self.draw_h, self.draw_g = H.sample_p, G.sample_p
         self.hmul, self.hinv = H.compose_p, H.invert_p
         self.gmul, self.ginv = G.compose_p, G.invert_p
-        self.scan, self.prod = G.scan_p, G.prod_p
+        self.key, self.prod = G.key_p, G.prod_p
         self.act = platform.apply_p
 
     @staticmethod
@@ -343,28 +345,38 @@ class _IndexOps(_TrialOps):
         H, G = t.H, t.G
         self.g = t.base
         self.draw_h, self.draw_g = H.draw, G.draw
-        self._h, self._nh = H, H.order  # H's tables are built when first used
         self._h_el, self._g_el = H.elements, G.elements
         self._h_index, self._g_index = H.index, G.index
-        self._ginv, self._ng, self._gid = G.inv, G.order, G.identity
-        self._act = t.act_flat
-        self._gmul_flat = mul = G.mul_flat
-        ng = G.order
-        # one product per party in round 4 and per link in the samplers; a
-        # closure reads no attributes per call
+        act, mul, ng, nh = t.act_flat, G.mul_flat, G.order, H.order
+        self._gmul_flat, self._ng, self._gid = mul, ng, G.identity
+        # the per-element operations are closures over the flat tables, so a
+        # call reads no attributes of the backend; H's tables are read
+        # through H, as they are built when first used
+        self.act = lambda h, x: act[h * ng + x]
         self.gmul = lambda a, b: mul[a * ng + b]
+        self.ginv = G.inv.__getitem__
+        self.hmul = lambda a, b: H.mul_flat[a * nh + b]
+        self.hinv = lambda a: H.inv[a]
 
-    # the folds of the key pass, one inline loop over the product table each
+    # the two folds over G's product table, one inline loop each
 
-    def scan(self, x: int, seq) -> list[int]:
-        """The prefix products of ``seq`` after x: [x, x.s0, x.s0.s1, ...]."""
+    def key(self, x: int, seq, k: int) -> int:
+        """``FiniteGroup.key_p`` on indices: over the ladder L_0 = x,
+        L_{j+1} = L_j.seq[j], the product L_k...L_m . L_0...L_{k-1}, from
+        two accumulators in one pass."""
         mul, ng = self._gmul_flat, self._ng
-        out = [x]
-        append = out.append
-        for s in seq:
+        it = iter(seq)
+        if k:
+            head = x
+            for s in itertools.islice(it, k - 1):
+                x = mul[x * ng + s]
+                head = mul[head * ng + x]
+            x = mul[x * ng + next(it)]
+        tail = x
+        for s in it:
             x = mul[x * ng + s]
-            append(x)
-        return out
+            tail = mul[tail * ng + x]
+        return mul[tail * ng + head] if k else tail
 
     def prod(self, seq) -> int:
         """The ordered product s0.s1...; the identity when ``seq`` is empty."""
@@ -374,18 +386,6 @@ class _IndexOps(_TrialOps):
         for s in it:
             x = mul[x * ng + s]
         return x
-
-    def hmul(self, a: int, b: int) -> int:
-        return self._h.mul_flat[a * self._nh + b]
-
-    def hinv(self, a: int) -> int:
-        return self._h.inv[a]
-
-    def ginv(self, a: int) -> int:
-        return self._ginv[a]
-
-    def act(self, h: int, x: int) -> int:
-        return self._act[h * self._ng + x]
 
     def h_tuple(self, elements) -> tuple[bytes, ...]:
         return tuple(map(self._h_el.__getitem__, elements))

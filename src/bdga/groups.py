@@ -98,9 +98,23 @@ class FiniteGroup:
         ``randrange(order)``, an index into the canonical enumeration."""
         return _rejection_draw((self.order,))
 
-    def scan_p(self, x: bytes, seq: Iterable[bytes]) -> list[bytes]:
-        """The prefix products of ``seq`` after x: [x, x.s0, x.s0.s1, ...]."""
-        return list(itertools.accumulate(seq, self.compose_p, initial=x))
+    def key_p(self, x: bytes, seq: Sequence[bytes], k: int) -> bytes:
+        """L_k...L_m . L_0...L_{k-1} over the ladder L_0 = x,
+        L_{j+1} = L_j.seq[j] (m = len(seq), 0 <= k <= m): two accumulators
+        take the ladder values as they grow, 2m products, no ladder kept."""
+        compose = self.compose_p
+        it = iter(seq)
+        if k:
+            head = x
+            for s in itertools.islice(it, k - 1):
+                x = compose(x, s)
+                head = compose(head, x)
+            x = compose(x, next(it))
+        tail = x
+        for s in it:
+            x = compose(x, s)
+            tail = compose(tail, x)
+        return compose(tail, head) if k else tail
 
     def prod_p(self, seq: Iterable[bytes]) -> bytes:
         """The ordered product s0.s1...; the identity when ``seq`` is empty."""
@@ -229,8 +243,8 @@ class _PermBase(FiniteGroup):
     def invert_p(self, a):
         return kern.perm_invert(a)
 
-    def scan_p(self, x, seq):
-        return kern.perm_scan(x, seq)
+    def key_p(self, x, seq, k):
+        return kern.perm_key(x, seq, k)
 
     def prod_p(self, seq):
         it = iter(seq)
@@ -266,25 +280,36 @@ class SymmetricGroup(_PermBase):
             range(1, self.degree + 1)
         )
 
+    @functools.cached_property
+    def _walk(self) -> tuple[tuple[int, int], ...]:
+        """``Random.shuffle``'s walk: i = m-1 down to 1, swapped with a j <=
+        i drawn by ``_randbelow(i + 1)``, from getrandbits of this bit length."""
+        return tuple((i, (i + 1).bit_length()) for i in range(self.degree - 1, 0, -1))
+
     def sample_p(self, rng):
-        # Fisher-Yates: uniform without materializing m! elements
+        # rng.shuffle's Fisher-Yates walk inline: uniform, no m! enumeration
+        getrandbits = rng.getrandbits
         images = list(range(1, self.degree + 1))
-        rng.shuffle(images)
+        for i, k in self._walk:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            images[i], images[j] = images[j], images[i]
         return bytes(images)
 
     @functools.cached_property
     def _draw_index(self):
-        # the _randbelow choices Random.shuffle makes in sample_p
-        return _rejection_draw(tuple(range(self.degree, 1, -1)), self._shuffle_order)
+        # the _randbelow choices of sample_p's walk
+        return _rejection_draw(tuple(i + 1 for i, _ in self._walk), self._shuffle_order)
 
     @functools.cached_property
     def _shuffle_order(self) -> list[int]:
         """The element index sample_p returns for each code of _draw_index."""
-        m, index = self.degree, self._index_map()
+        m, index, walk = self.degree, self._index_map(), self._walk
         order = []
-        for choices in itertools.product(*(range(i + 1) for i in range(m - 1, 0, -1))):
+        for choices in itertools.product(*(range(i + 1) for i, _ in walk)):
             images = list(range(1, m + 1))
-            for i, j in zip(range(m - 1, 0, -1), choices):
+            for (i, _), j in zip(walk, choices):
                 images[i], images[j] = images[j], images[i]
             order.append(index[bytes(images)])
         return order
@@ -473,21 +498,11 @@ class ModCyclicGroup(FiniteGroup):
     def invert_p(self, a):
         return pow(int.from_bytes(a, "big"), -1, self.p).to_bytes(self.payload_len, "big")
 
-    # the folds multiply Python ints mod p, converting each payload once
-
-    def scan_p(self, x, seq):
-        p, width = self.p, self.payload_len
-        v, out = int.from_bytes(x, "big"), [x]
-        for s in map(int.from_bytes, seq, itertools.repeat("big")):
-            v = v * s % p
-            out.append(v.to_bytes(width, "big"))
-        return out
+    def key_p(self, x, seq, k):
+        return kern.modp_key(x, seq, k, self.p, self.payload_len)
 
     def prod_p(self, seq):
-        p, v = self.p, 1
-        for s in map(int.from_bytes, seq, itertools.repeat("big")):
-            v = v * s % p
-        return v.to_bytes(self.payload_len, "big")
+        return kern.modp_prod(seq, self.p, self.payload_len)
 
     def _mul_table(self):
         # g^i * g^j = g^((i + j) mod q): number the elements by exponent, so

@@ -20,8 +20,10 @@ in one pass, for ``run_session`` and for the oracle game's ``execute``;
 ``PartyState`` calls them for one party, behind its payload boundary and
 its write-once, round-order checks. The key pass, each party's own
 ladder and key product (2n(n - 1) products per session, the protocol's only
-quadratic work), runs on the backend's two folds: one loop over the product
-table on the tables, one kernel of the target group on payloads.
+quadratic work), is one fused fold per party, the backend's ``key``: one
+loop over the product table on the tables, the target group's ``key_p``
+kernel on payloads. It keeps no ladder; ``key_ladder`` builds one as a
+reference.
 """
 
 from __future__ import annotations
@@ -198,22 +200,14 @@ def _round4(ops, h, v_prev, c_right, w_next) -> tuple:
 
 def _party_key(ops, x, z_all: Sequence, index: int):
     """Party ``index``'s key from its own X_i and the n broadcasts: its ladder
-    (a prefix-product scan) multiplied out (an ordered product) in the order
-    of 1..n rotated back by index - 1 (cycle_step applied index - 1 times).
-    The two folds are the backend's: one loop each over the product table,
-    or the target group's fold kernels on payloads."""
-    return ops.prod(_rotated(_ladder(ops, x, z_all, index), 1 - index))
-
-
-def _rotated(seq: Sequence, shift: int) -> Sequence:
-    """``seq`` cyclically rotated to start at position ``shift`` mod its length."""
-    k = shift % len(seq)
-    return seq[k:] + seq[:k]
-
-
-def _ladder(ops, x, z_all: Sequence, index: int) -> list:
-    # the broadcasts from party index's own onwards, folded into X_i
-    return ops.scan(x, _rotated(z_all, index - 1)[:-1])
+    (X_i, then the broadcasts from its own onwards folded in one at a time)
+    multiplied out in the order of 1..n rotated back by index - 1
+    (cycle_step applied index - 1 times), which starts the product at
+    ladder position n + 1 - index, mod n. One call of the backend's fused
+    fold."""
+    # the n - 1 broadcasts from party index's own onwards
+    seq = z_all[index - 1:] + z_all[:index - 2] if index > 1 else z_all[:-1]
+    return ops.key(x, seq, (1 - index) % len(z_all))
 
 
 def key_ladder(
@@ -228,9 +222,12 @@ def key_ladder(
         raise ProtocolStateError(f"expected n >= 3 broadcast values, got {n}")
     if not 1 <= index <= n:
         raise ProtocolStateError(f"party index {index} outside 1..{n}")
-    ops = actions._ops(platform)
-    (x,) = ops.from_g((x,))
-    return list(ops.g_tuple(_ladder(ops, x, ops.from_g(z_all), index)))
+    target = platform.target
+    (x,), z_all = actions._members(target, (x,)), actions._members(target, z_all)
+    ladder = [x]
+    for z in (z_all[index - 1:] + z_all[:index - 1])[:-1]:
+        ladder.append(target.compose_p(ladder[-1], z))
+    return ladder
 
 
 def oracle_key(platform: GroupAction, secrets: Sequence[GroupElement | bytes]) -> GroupElement:
@@ -286,13 +283,11 @@ def _session_rounds(ops, n: int, rng: Random):
     draw_h = ops.draw_h
     secrets = [draw_h(rng) for _ in range(n)]
     pair_keys = [draw_h(rng) for _ in range(n)]
-    # party i's neighbors' values: c_{i-1}, v_{i-1}, w_{i+1}
+    # party i's neighbors' values, by position: c_{i-1}, v_{i-1}, w_{i+1}
     vs = [_round2(ops, h) for h in secrets]
-    v_prev = _rotated(vs, -1)
-    ws = [_round3(ops, c, h, v) for c, h, v in zip(_rotated(pair_keys, -1), secrets, v_prev)]
+    ws = [_round3(ops, pair_keys[i - 1], secrets[i], vs[i - 1]) for i in range(n)]
     xs, ys, zs = zip(*(
-        _round4(ops, h, v, c, w)
-        for h, v, c, w in zip(secrets, v_prev, pair_keys, _rotated(ws, 1))
+        _round4(ops, secrets[i], vs[i - 1], pair_keys[i], ws[(i + 1) % n]) for i in range(n)
     ))
     return secrets, pair_keys, vs, ws, xs, ys, zs
 

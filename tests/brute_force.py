@@ -32,3 +32,12 @@ def brute_force_conditional(pf, sample):
                 sk = G.compose_p(sk, link)
             weights[sk] = weights.get(sk, 0) + weight
     return weights
+
+
+def compose_product(group, seq):
+    """The ordered product of seq, one compose_p per factor; the identity
+    when seq is empty."""
+    product = group.identity_p
+    for s in seq:
+        product = group.compose_p(product, s)
+    return product

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import contextlib
+import io
 import json
 import re
 import time
@@ -607,3 +609,22 @@ def test_experiment_manifest_survives_single_mutations(manifest_root, data):
         assert not out.exists(), f"{path} mutated: exit 2 but a result was written"
     if "experiment" not in mutated:
         assert code == 2
+
+
+# -- fuzzing `run --platform desc.json` with single mutations of a descriptor ---
+
+FUZZ_DESCRIPTORS = tuple(preset(name).descriptor for name in ("bd23", "s4_conj", "gl25_twist"))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_run_descriptor_survives_single_mutations(manifest_root, data):
+    path, mutated = mutate(data, data.draw(st.sampled_from(FUZZ_DESCRIPTORS)))
+    desc, out = manifest_root / "desc.json", manifest_root / "run"
+    desc.write_text(json.dumps(mutated))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = main(["run", "--platform", str(desc), "--n", "3", "--seed", "1",
+                     "--out", str(out)])
+    assert code in (0, 1, 2), path
+    assert "Traceback" not in printed.getvalue(), path

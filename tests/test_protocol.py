@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
+from brute_force import compose_product
 from named_platforms import platform_named
 
 from bdga import actions
@@ -18,6 +19,7 @@ from bdga.platforms import PRESET_NAMES, preset
 from bdga.protocol import (
     PartyState,
     SessionConfig,
+    _party_key,
     cycle_step,
     key_ladder,
     oracle_key,
@@ -283,8 +285,11 @@ def test_party_states_match_run_session(name):
 
 
 def test_ladder_shift_relation():
-    # party i+1's ladder is party i's shifted by one position (cyclically),
-    # on the tables and, at a long ladder, through the permutation kernel
+    # key_ladder is X_i, then the broadcasts from party i's own onwards, one
+    # compose_p each; party i+1's ladder is party i's shifted by one position
+    # (cyclically); and party i's key, from run_session's fused key fold, is
+    # its ladder multiplied out from position n + 1 - i: on the tables and,
+    # at a long ladder, through the permutation kernel
     for pf, n in ((S4, 7), (platform_named("s10_conj"), 33)):
         res = run_session(SessionConfig(pf, n, 12))
         zs = res.transcript.z
@@ -293,8 +298,33 @@ def test_ladder_shift_relation():
             nxt = ladders[(i + 1) % n]
             cur = ladders[i]
             assert len(cur) == n
+            want = [res.internals.x[i]]
+            for k in range(i, i + n - 1):
+                want.append(pf.target.compose_p(want[-1], zs[k % n]))
+            assert cur == want
             for k in range(1, n):
                 assert nxt[k - 1] == cur[k]
+            start = (n - i) % n
+            assert compose_product(pf.target, cur[start:] + cur[:start]) == res.keys[i].payload
+
+
+def test_party_key_makes_two_products_per_ladder_step(monkeypatch):
+    # the generic fold, on a target with no kernel of its own, counted: each
+    # party makes 2(n - 1) compose_p calls, n - 1 ladder steps and n - 1
+    # products of ladder values, and gets its run_session key
+    pf = platform_named("gl27_conj")
+    G = pf.target
+    calls = []
+    compose = G.compose_p
+    monkeypatch.setattr(G, "compose_p", lambda a, b: calls.append(1) or compose(a, b))
+    for n in (3, 8, 17):
+        res = run_session(SessionConfig(pf, n, 30 + n))
+        ops = actions._ops(pf)
+        for i, x in enumerate(res.internals.x, 1):
+            calls.clear()
+            key = _party_key(ops, x, res.transcript.z, i)
+            assert len(calls) == 2 * (n - 1)
+            assert key == res.keys[i - 1].payload
 
 
 def test_key_ladder_refuses_an_index_outside_the_cycle():
@@ -440,8 +470,20 @@ def test_transcript_json_roundtrip():
          "02cb4e46dda887f9b5962fbe9cb43ac36ea96b7c08ebe3544836c45202ba4dc2", "00010200"),
         ("bd_modp_2039", 6, 14,
          "887a909c37b405be1d886a37b859410bec0deb8d9bacfc0a042d79d666c9dd24", "0686"),
+        # the key fold at longer ladders, one row per kernel: permutations,
+        # ints mod p, the generic compose_p loop and the product table
+        ("s10_conj", 32, 15,
+         "aa7eea1a9c90dc538ae9e91cd55bf4c0baca66405bf019772fe3641878a161f1",
+         "080703020406050a0109"),
+        ("bd_modp_100043", 32, 16,
+         "f2a6d7b543e58236ef16f2beb144912dc039c4444133cfdfa3a816db4398e0d4", "013096"),
+        ("gl27_conj", 8, 17,
+         "d1618a27e9bcc78c76b0d2ab80187fbd529722ece4d5acd63bdf2bf31a984cac", "03030301"),
+        ("sl23_dcoset", 16, 18,
+         "37894017b04640256a1fa9ab7f8e5c1ff47035709c007ae6533749f3e56e212e", "01020202"),
     ],
-    ids=["bd23", "s4_conj", "gl25_twist", "sl23_dcoset", "bd_modp_2039"],
+    ids=["bd23", "s4_conj", "gl25_twist", "sl23_dcoset", "bd_modp_2039", "s10_conj-n32",
+         "bd_modp_100043-n32", "gl27_conj-n8", "sl23_dcoset-n16"],
 )
 def test_transcript_sid_regression(name, n, seed, sid, key_hex):
     # golden values guard the canonical byte layout, the RNG draw order and

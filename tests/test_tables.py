@@ -14,7 +14,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from brute_force import brute_force_conditional
+from brute_force import brute_force_conditional, compose_product
 from named_platforms import UNTABULABLE, platform_named
 
 from bdga import actions, security_lab
@@ -158,6 +158,15 @@ def test_index_draw_matches_sample_p(group):
     assert_draws_match(group)
 
 
+@pytest.mark.parametrize("m", [10, 23, 64])
+def test_symmetric_draw_matches_a_shuffle_above_the_cap(m):
+    # S_m too large to tabulate: sample_p's inline walk against rng.shuffle
+    group, a, b = SymmetricGroup(m), Random(m), Random(m)
+    for _ in range(300):
+        assert group.sample_p(a) == reference_sample(group, b)
+        assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_index_draws_match_sample_p(name):
     pf = preset(name)
@@ -211,16 +220,14 @@ def test_group_tables_match_compose_and_invert():
                 assert t.elements[t.mul[a, b]] == group.compose_p(pa, pb)
 
 
-def compose_folds(group, x, seq):
-    """The reference for the key pass's folds, one compose_p per step: the
-    prefix products of seq after x, and the product of seq."""
+def compose_keys(group, x, seq):
+    """The reference for the key fold, one compose_p per step: the ladder
+    [x, x.s0, x.s0.s1, ...] multiplied out from each start k, as
+    L_k...L_m . L_0...L_{k-1}."""
     ladder = [x]
     for s in seq:
         ladder.append(group.compose_p(ladder[-1], s))
-    product = group.identity_p
-    for s in seq:
-        product = group.compose_p(product, s)
-    return ladder, product
+    return [compose_product(group, ladder[k:] + ladder[:k]) for k in range(len(ladder))]
 
 
 @pytest.mark.parametrize("name, on_bytes", [
@@ -237,9 +244,9 @@ def test_key_pass_folds_match_the_compose_fold(name, on_bytes, monkeypatch):
     G, rng = pf.target, Random(derive_seed(0, "folds", name))
     for length in range(41):
         x, *seq = (G.sample_p(rng) for _ in range(length + 1))
-        ladder, product = compose_folds(G, x, seq)
+        keys, product = compose_keys(G, x, seq), compose_product(G, seq)
         (x,), seq = ops.from_g([x]), ops.from_g(seq)
-        assert list(ops.g_tuple(ops.scan(x, seq))) == ladder
+        assert [ops.g_bytes(ops.key(x, seq, k)) for k in range(length + 1)] == keys
         assert ops.g_bytes(ops.prod(seq)) == product
 
 
