@@ -190,7 +190,8 @@ class GroupAction:
         from ``apply_p``, ``apply_p`` is compared with it on
         VALIDATION_TRIPLES distinct entries drawn from ``rng``. Only a
         platform too large to tabulate is checked on VALIDATION_TRIPLES
-        sampled triples of ``apply_p`` calls instead."""
+        sampled triples of ``apply_p`` calls instead, unless its class
+        checks it exactly (``ExponentAction``)."""
         H, G = self.acting, self.target
         rng = rng or Random(0xA11)
         if self.tabulable or H.order * G.order <= VALIDATION_TRIPLES:
@@ -542,6 +543,38 @@ class ExponentAction(GroupAction):
     def apply_p(self, h, x):
         return pow(int.from_bytes(x, "big"), int.from_bytes(h, "big"), self.p).to_bytes(
             self.target.payload_len, "big")
+
+    def validate(self, rng: Random | None = None) -> None:
+        """A tabulable ExponentAction is checked over its tables like any
+        other platform. A larger one is checked exactly, by arithmetic in the
+        exponent, with no element drawn.
+
+        Its target G = <g> was built with g^q = 1 and g^(q/r) != 1 for every
+        prime r dividing q, so |G| = q and x^q = 1 for every x in G: x^a
+        depends on a only mod q. When H is the units mod that same q, every
+        x in G and all units a, b give apply(1, x) = x^1 = x and
+        apply(b, apply(a, x)) = (x^a)^b = x^(ab mod q) = apply(b . a, x),
+        since b . a is ab mod q: both axioms hold on all of H x G. This
+        re-verifies g^q = 1 and that H's modulus is |G|, then runs
+        ``apply_p`` through both axioms at x = g and x = g^2 for a few fixed
+        units, so that an ``apply_p`` other than x^h still fails."""
+        if self.tabulable:
+            return super().validate(rng)
+        H, G = self.acting, self.target
+        if pow(G.g, G.order, G.p) != 1:
+            raise PlatformValidationError(f"{self.tag}: g^{G.order} != 1 mod {G.p}")
+        if H.q != G.order:
+            raise PlatformValidationError(
+                f"{self.tag}: acting modulus {H.q} is not the target's order {G.order}")
+        apply, e = self.apply_p, H.identity_p
+        units = [u for u in (v.to_bytes(H.payload_len, "big") for v in (1, 2, 3, 5, H.q - 1))
+                 if H.contains_p(u)]
+        for x in (self.base_p, G.compose_p(self.base_p, self.base_p)):
+            if apply(e, x) != x:
+                raise PlatformValidationError(f"{self.tag}: identity axiom fails")
+            for a, b in itertools.product(units, repeat=2):
+                if apply(b, apply(a, x)) != apply(H.compose_p(b, a), x):
+                    raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
 
 
 def _require_subgroup(target: FiniteGroup, sub: FiniteGroup, role: str) -> None:

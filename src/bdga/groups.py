@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -435,6 +436,19 @@ def _powers(g: int, p: int, q: int) -> list[int]:
     return powers
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division up to sqrt(n):
+    at most 1,000 steps for n within ENUMERATION_CAP."""
+    primes, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return primes + [n] if n > 1 else primes
+
+
 # Miller-Rabin with these bases is exact below the least number that is a
 # strong pseudoprime to all of them (Sorenson & Webster 2015)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -467,21 +481,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 class ModCyclicGroup(FiniteGroup):
-    """The cyclic subgroup of Z_p^* generated by g, of order q."""
+    """The cyclic subgroup of Z_p^* generated by g, of order q; its sorted
+    elements are enumerated on first use."""
 
     def __init__(self, p: int, g: int, q: int):
         if not _is_prime(p):
             raise PlatformValidationError(f"modulus {p} is not prime")
         if not 1 < g < p:
             raise PlatformValidationError(f"generator {g} not in 2..{p - 1}")
+        if q < 1:
+            raise PlatformValidationError(f"order {q} is not positive")
         if pow(g, q, p) != 1:
             raise PlatformValidationError(f"{g}^{q} != 1 mod {p}: claimed order is wrong")
         if q > ENUMERATION_CAP:
             raise EnumerationCapError(f"order {q} exceeds the enumeration cap {ENUMERATION_CAP}")
-        powers = _powers(g, p, q)
-        powers.sort()
-        if len(powers) != q:
-            raise PlatformValidationError(f"{g} has order {len(powers)} mod {p}, not {q}")
+        # g^q = 1, so g's order divides q: it is q with each prime r of q
+        # divided out for as long as g^(order / r) is still 1
+        order = q
+        for r in _prime_factors(q):
+            while order % r == 0 and pow(g, order // r, p) == 1:
+                order //= r
+        if order != q:
+            raise PlatformValidationError(f"{g} has order {order} mod {p}, not {q}")
         super().__init__(f"mod{p}g{g}")
         self.p = p
         self.g = g
@@ -489,7 +510,10 @@ class ModCyclicGroup(FiniteGroup):
         self.order = q
         self.payload_len = (p.bit_length() + 7) // 8
         self.identity_p = (1).to_bytes(self.payload_len, "big")
-        self._elements_p = [v.to_bytes(self.payload_len, "big") for v in powers]
+
+    def _enumerate_p(self):
+        powers = sorted(_powers(self.g, self.p, self.q))
+        return [v.to_bytes(self.payload_len, "big") for v in powers]
 
     def compose_p(self, a, b):
         return (int.from_bytes(a, "big") * int.from_bytes(b, "big") % self.p).to_bytes(
@@ -529,20 +553,38 @@ class ModCyclicGroup(FiniteGroup):
 
 
 class UnitsModGroup(FiniteGroup):
-    """The multiplicative group of units mod q."""
+    """The multiplicative group of units mod q, in increasing order; its
+    payloads are enumerated on first use."""
 
     def __init__(self, q: int):
         if q < 2:
             raise PlatformValidationError("modulus must be >= 2")
         if q > ENUMERATION_CAP:
             raise EnumerationCapError(f"modulus {q} exceeds the enumeration cap {ENUMERATION_CAP}")
-        units = [a for a in range(1, q) if math.gcd(a, q) == 1]
         super().__init__(f"units{q}")
         self.q = q
-        self.order = len(units)
+        self._primes = _prime_factors(q)
+        phi = q  # Euler's phi: q times (1 - 1/r) for each prime r of q
+        for r in self._primes:
+            phi = phi // r * (r - 1)
+        self.order = phi
         self.payload_len = (q.bit_length() + 7) // 8
         self.identity_p = (1).to_bytes(self.payload_len, "big")
-        self._elements_p = [v.to_bytes(self.payload_len, "big") for v in units]
+
+    @functools.cached_property
+    def _units(self) -> array:
+        """Unit i as ``_units[i]``: 0..q-1 sieved by the primes of q, four
+        bytes each, built on first use."""
+        q, sieve = self.q, bytearray(b"\x01") * self.q
+        for r in self._primes:
+            sieve[::r] = bytes(len(range(0, q, r)))
+        return array("I", itertools.compress(range(q), sieve))
+
+    def _enumerate_p(self):
+        return [v.to_bytes(self.payload_len, "big") for v in self._units]
+
+    def sample_p(self, rng):
+        return self._units[self._draw_index(rng)].to_bytes(self.payload_len, "big")
 
     def compose_p(self, a, b):
         return (int.from_bytes(a, "big") * int.from_bytes(b, "big") % self.q).to_bytes(
@@ -554,7 +596,7 @@ class UnitsModGroup(FiniteGroup):
     def _mul_table(self):
         # products of the units in numpy, mapped back through a value -> index array
         q = self.q
-        units = np.array([int.from_bytes(a, "big") for a in self.elements_p()], dtype=np.int64)
+        units = np.array(self._units, dtype=np.int64)
         index = np.zeros(q, dtype=np.intp)
         index[units] = np.arange(len(units))
         return index[np.multiply.outer(units, units) % q]

@@ -14,6 +14,7 @@ from bdga.actions import (
     VALIDATION_TRIPLES,
     ConjugationAction,
     DoubleCosetAction,
+    ExponentAction,
     TwistedConjugacyAction,
     _generating_set,
     double_act,
@@ -23,7 +24,13 @@ from bdga.errors import (
     ForeignElementError,
     PlatformValidationError,
 )
-from bdga.groups import GL2Group, ModCyclicGroup, SymmetricGroup, generated_perm_group
+from bdga.groups import (
+    GL2Group,
+    ModCyclicGroup,
+    SymmetricGroup,
+    UnitsModGroup,
+    generated_perm_group,
+)
 from bdga.platforms import PRESET_NAMES, make_platform, platform_from_descriptor, preset
 
 # -- independent mini-oracles ---------------------------------------------------
@@ -504,6 +511,49 @@ def test_validate_compares_apply_p_with_a_table_read_off_the_factors():
     assert pf.tables.from_factors
     with pytest.raises(PlatformValidationError, match="apply_p disagrees with the action table"):
         pf.validate()
+
+
+class CollapsingExponent(ExponentAction):
+    def apply_p(self, h, x):
+        return self.base_p
+
+
+class OffByOneExponent(ExponentAction):
+    """x -> x^(h + 1)."""
+
+    def apply_p(self, h, x):
+        return super().apply_p((int.from_bytes(h, "big") + 1).to_bytes(len(h), "big"), x)
+
+
+class WideModulusExponent(ExponentAction):
+    """x -> x^h for h a unit mod 2q = p - 1, not mod the target's order q."""
+
+    def __init__(self, p, g, q):
+        super().__init__(p, g, q)
+        self.acting = UnitsModGroup(2 * q)
+
+
+@pytest.mark.parametrize("cls, message", [
+    (CollapsingExponent, "identity axiom fails"),
+    (OffByOneExponent, "identity axiom fails"),
+    (WideModulusExponent, "acting modulus 200086 is not the target's order 100043"),
+], ids=["collapsing", "off_by_one", "wide_modulus"])
+def test_exact_exponent_validation_catches_mutants(cls, message):
+    pf = cls(200087, 4, 100043)
+    assert not pf.tabulable
+    with pytest.raises(PlatformValidationError, match=message):
+        pf.validate()
+
+
+def test_exact_exponent_validation_draws_nothing():
+    pf = ExponentAction(200087, 4, 100043)
+
+    def no_sampling(rng):
+        raise AssertionError("validate() sampled an element")
+
+    pf.acting.sample_p = pf.target.sample_p = no_sampling
+    pf.validate()
+    assert pf.acting._elements_p is None and pf.target._elements_p is None
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

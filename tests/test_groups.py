@@ -18,6 +18,7 @@ from bdga.groups import (
     generated_mat2_group,
     generated_perm_group,
     _is_prime,
+    _powers,
 )
 
 SMALL_GROUPS = [
@@ -171,6 +172,9 @@ def test_modular_group_validation_errors():
         ModCyclicGroup(23, 1, 11)  # g out of range
     with pytest.raises(PlatformValidationError, match="has order 11 mod 23, not 22"):
         ModCyclicGroup(23, 2, 22)  # 2^22 = 1, but 2 has order 11
+    for q in (0, -5):  # 3^0 = 3^-5 = 1 mod 11, as 3 has order 5
+        with pytest.raises(PlatformValidationError, match=f"order {q} is not positive"):
+            ModCyclicGroup(11, 3, q)
 
 
 def test_is_prime_matches_trial_division():
@@ -186,7 +190,8 @@ def test_is_prime_matches_trial_division():
 
 
 def test_modular_groups_refuse_orders_past_the_cap():
-    # each check comes before the loop over q that would otherwise run
+    # the cap bounds both loops over q a modular group runs: the trial
+    # division of q at construction and the enumeration on first use
     with pytest.raises(EnumerationCapError):
         ModCyclicGroup(2**61 - 1, 37, 2**61 - 2)
     with pytest.raises(EnumerationCapError):
@@ -198,6 +203,47 @@ def test_modular_cyclic_elements_are_the_sorted_powers(p, g, q):
     group = ModCyclicGroup(p, g, q)
     want = sorted({pow(g, k, p) for k in range(q)})
     assert [int.from_bytes(e, "big") for e in group.elements_p()] == want
+
+
+def _cyclic_outcome(p, g, q):
+    try:
+        ModCyclicGroup(p, g, q)
+    except PlatformValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_arithmetic_order_matches_the_powers():
+    # every prime p < 400, every q dividing p - 1 and every g: the group is
+    # built exactly when g^q = 1 and g has q distinct powers, and refused with
+    # the order the powers count otherwise
+    for p in filter(_is_prime, range(400)):
+        for q in (d for d in range(1, p) if (p - 1) % d == 0):
+            got = [_cyclic_outcome(p, g, q) for g in range(2, p)]
+            want = []
+            for g in range(2, p):
+                if pow(g, q, p) != 1:
+                    want.append(f"{g}^{q} != 1 mod {p}: claimed order is wrong")
+                    continue
+                k = len(_powers(g, p, q))
+                want.append(None if k == q else f"{g} has order {k} mod {p}, not {q}")
+            assert got == want, (p, q)
+
+
+def test_units_order_and_draw_sequence_match_the_gcd_count():
+    for q in range(2, 3001):
+        units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        group = UnitsModGroup(q)
+        assert group.order == len(units)
+        assert list(group._units) == units
+
+
+def test_modular_groups_enumerate_on_first_use():
+    cyclic, units = ModCyclicGroup(200087, 4, 100043), UnitsModGroup(100043)
+    assert cyclic._elements_p is None and units._elements_p is None
+    assert "_units" not in vars(units)
+    assert cyclic.elements_p()[:2] == [bytes([0, 0, 1]), bytes([0, 0, 2])]
+    assert units.elements_p()[-1] == (100042).to_bytes(3, "big")
 
 
 def test_extend_homomorphism_consistency():

@@ -433,6 +433,27 @@ def test_byte_backend_parties_reject_foreign_payloads():
     assert bd.acting._index is None and bd.target._index is None
 
 
+@pytest.mark.parametrize("name", ["bd_modp_100043", "bd_modp_2039"])
+def test_modular_draws_are_the_enumeration_draws(name):
+    # sample_p runs before anything enumerates either group, so the units
+    # come from their compact sequence and not from the payload list
+    pf = platform_named(name)
+    for group in (pf.acting, pf.target):
+        rng = Random(7)
+        draws = [(group.sample_p(rng), rng.getstate()) for _ in range(300)]
+        els, rng = group.elements_p(), Random(7)
+        for payload, state in draws:
+            assert payload == els[rng.randrange(group.order)]
+            assert rng.getstate() == state
+
+
+def test_modular_session_enumerates_neither_group():
+    pf = platform_named("bd_modp_100043")
+    run_session(SessionConfig(pf, 32, 16))
+    for group in (pf.acting, pf.target):
+        assert group._elements_p is None and group._index is None
+
+
 def test_pair_key_source_is_pluggable():
     # a session's pair keys are always uniform draws, but parties take any
     # pair keys: here every neighboring pair shares the identity
