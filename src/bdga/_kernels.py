@@ -87,18 +87,34 @@ def mat2_invert(a, p):
     return bytes(((a[3] * dinv) % p, (-a[1] * dinv) % p, (-a[2] * dinv) % p, (a[0] * dinv) % p))
 
 
-def mat2_conjugate(h, x, p):
-    hinv = mat2_invert(h, p)
-    return mat2_compose(mat2_compose(hinv, x, p), h, p)
-
-
 def mat2_sandwich(h, x, j, p):
-    return mat2_compose(mat2_compose(h, x, p), j, p)
+    # h.x.j in one pass: h.x unreduced, each entry of its product with j
+    # reduced once, which leaves the same residue
+    h0, h1, h2, h3 = h
+    x0, x1, x2, x3 = x
+    j0, j1, j2, j3 = j
+    a0, a1 = h0 * x0 + h1 * x2, h0 * x1 + h1 * x3
+    a2, a3 = h2 * x0 + h3 * x2, h2 * x1 + h3 * x3
+    return bytes(((a0 * j0 + a1 * j2) % p, (a0 * j1 + a1 * j3) % p,
+                  (a2 * j0 + a3 * j2) % p, (a2 * j1 + a3 * j3) % p))
 
 
 def mat2_twisted(h, x, t, p):
-    hinv = mat2_invert(h, p)
-    return mat2_compose(mat2_compose(hinv, x, p), t, p)
+    # h^-1.x.t in one pass: h^-1 is adj(h)/det(h), so this is adj(h).x.t
+    # unreduced, each entry times 1/det reduced once
+    h0, h1, h2, h3 = h
+    x0, x1, x2, x3 = x
+    t0, t1, t2, t3 = t
+    d = pow((h0 * h3 - h1 * h2) % p, p - 2, p)
+    a0, a1 = h3 * x0 - h1 * x2, h3 * x1 - h1 * x3
+    a2, a3 = h0 * x2 - h2 * x0, h0 * x3 - h2 * x1
+    return bytes(((a0 * t0 + a1 * t2) * d % p, (a0 * t1 + a1 * t3) * d % p,
+                  (a2 * t0 + a3 * t2) * d % p, (a2 * t1 + a3 * t3) * d % p))
+
+
+def mat2_conjugate(h, x, p):
+    # h^-1.x.h
+    return mat2_twisted(h, x, h, p)
 
 
 def mat2_transpose_invert(a, p):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import itemgetter
 from random import Random
 from typing import Callable
 
@@ -23,13 +24,20 @@ from .errors import EnumerationCapError, ForeignElementError, PlatformValidation
 from .groups import (
     ENUMERATION_CAP,
     FiniteGroup,
+    GL2Group,
     GroupElement,
     GroupTable,
     ModCyclicGroup,
     ProductGroup,
+    SymmetricGroup,
     UnitsModGroup,
 )
 
+# The action table applies every acting element to every target element up
+# to this many entries; above it, a sandwich action's table is read off the
+# target's products and ``validate()`` compares ``apply_p`` with it on this
+# many sampled entries. ``TwistedConjugacyAction`` checks an endomorphism
+# on this many sampled pairs when there are too many pairs to check them all.
 VALIDATION_TRIPLES = 10_000
 
 
@@ -46,8 +54,9 @@ class ActionTables:
     (``from_factors`` is False), and raises PlatformValidationError if an
     image is not in the target. Larger tabulable sandwich actions,
     apply(h, x) = l(h) * x * r(h), read it from the target's product table
-    instead (``from_factors`` is True), and ``validate()`` compares
-    ``apply_p`` with it on sampled entries.
+    and their ``_sandwich_maps`` instead (``from_factors`` is True), and
+    ``validate()`` compares ``apply_p`` with it on VALIDATION_TRIPLES
+    sampled entries.
     """
 
     def __init__(self, action: "GroupAction"):
@@ -55,12 +64,12 @@ class ActionTables:
         self.G: GroupTable = action.target.table
         self.base = self.G.index[action.base_p]
         index = self.G.index
-        factors = None
-        if action.tabulable and self.H.order * self.G.order > VALIDATION_TRIPLES:
-            factors = action._sandwich_factors()
-        self.from_factors = factors is not None
-        if factors is not None:
-            left, right = (np.array([index[p] for p in side], dtype=np.intp) for side in factors)
+        maps = action._sandwich_maps
+        self.from_factors = (maps is not None and action.tabulable
+                             and self.H.order * self.G.order > VALIDATION_TRIPLES)
+        if self.from_factors:
+            left, right = (np.array([index[p] for p in side], dtype=np.intp)
+                           for side in zip(*map(maps, self.H.elements)))
             mul = self.G.mul
             self.act = mul[mul[left], right[:, None]]
         else:
@@ -142,12 +151,11 @@ class GroupAction:
     def apply_p(self, h: bytes, x: bytes) -> bytes:
         raise NotImplementedError
 
-    def _sandwich_factors(self) -> tuple[list[bytes], list[bytes]] | None:
-        """For an action of the form apply(h, x) = l(h) * x * r(h): the target
-        payloads l(h) and r(h) of every acting element, in
-        ``acting.elements_p()`` order; None for any other action. A subclass
-        that overrides ``apply_p`` overrides this to match."""
-        return None
+    # For an action of the form apply(h, x) = l(h) * x * r(h): the method
+    # ``_sandwich_maps(h)`` returns the target payloads (l(h), r(h)). It is
+    # None for any other action. A subclass that overrides ``apply_p``
+    # overrides it to match.
+    _sandwich_maps: Callable[[bytes], tuple[bytes, bytes]] | None = None
 
     @property
     def base(self) -> GroupElement:
@@ -186,44 +194,69 @@ class GroupAction:
         apply(s, apply(h, x)) = apply(s . h, x) for every h and x and each s
         of a generating set of H. Every acting element is a product of
         generators, so by induction this covers every h2 in place of s.
-        Where the table was read off the sandwich factors instead of built
-        from ``apply_p``, ``apply_p`` is compared with it on
-        VALIDATION_TRIPLES distinct entries drawn from ``rng``. Only a
-        platform too large to tabulate is checked on VALIDATION_TRIPLES
-        sampled triples of ``apply_p`` calls instead, unless its class
-        checks it exactly (``ExponentAction``)."""
-        H, G = self.acting, self.target
+        Where the table was read off the sandwich maps, ``apply_p`` is
+        compared with it on VALIDATION_TRIPLES distinct entries drawn from
+        ``rng``.
+
+        A larger platform is checked by ``_validate_exact``; for a sandwich
+        action, apply(h, x) = l(h) x r(h), the axioms hold by construction.
+        l(e) = r(e) = e gives apply(e, x) = x, and l(b . a) = l(b) l(a) with
+        r(b . a) = r(a) r(b) gives apply(b, apply(a, x)) = apply(b . a, x).
+        Conjugation: H = K^op, l(h) = h^-1, r(h) = h, b . a = ab. Twisted
+        conjugacy: r = t, multiplicative (a table by ``extend_homomorphism``,
+        transpose-inverse by algebra, else ``_multiplicative``). Double coset:
+        H = L x R^op, l(a, b) = a, r(a, b) = b. Images stay in G, as K, L, R
+        and t(K) lie in G. The code is checked against this on the identity
+        and three draws of each group: apply_p(h, x) = l(h) x r(h) in G,
+        apply_p(e, x) = x, and both identities for every pair under
+        ``H.compose_p``."""
         rng = rng or Random(0xA11)
-        if self.tabulable or H.order * G.order <= VALIDATION_TRIPLES:
-            # needs only the action table and H's products, never G's
-            t = self.tables if self.tabulable else ActionTables(self)
-            act = t.act
-            if not np.array_equal(act[t.H.identity], np.arange(t.G.order)):
-                raise PlatformValidationError(f"{self.tag}: identity axiom fails")
-            mul = t.H.mul
-            for s in _generating_set(t.H):
-                # row h, column x: apply(s, apply(h, x)) against apply(s . h, x)
-                if not np.array_equal(act[s][act], act[mul[s]]):
-                    raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
-            if t.from_factors:
-                apply, hs, xs, index = self.apply_p, t.H.elements, t.G.elements, t.G.index
-                ng, act_flat = t.G.order, t.act_flat
-                for e in rng.sample(range(t.H.order * ng), VALIDATION_TRIPLES):
-                    h, x = divmod(e, ng)
-                    if index.get(apply(hs[h], xs[x])) != act_flat[e]:
-                        raise PlatformValidationError(
-                            f"{self.tag}: apply_p disagrees with the action table")
-        else:
-            for _ in range(VALIDATION_TRIPLES):
-                h1 = H.sample_p(rng)
-                h2 = H.sample_p(rng)
-                x = G.sample_p(rng)
-                if self.apply_p(H.identity_p, x) != x:
-                    raise PlatformValidationError(f"{self.tag}: identity axiom fails")
-                if self.apply_p(h2, self.apply_p(h1, x)) != self.apply_p(
-                    H.compose_p(h2, h1), x
-                ):
-                    raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
+        if not (self.tabulable or self.acting.order * self.target.order <= VALIDATION_TRIPLES):
+            return self._validate_exact(rng)
+        # needs only the action table and H's products, never G's
+        t = self.tables if self.tabulable else ActionTables(self)
+        act = t.act
+        if not np.array_equal(act[t.H.identity], np.arange(t.G.order)):
+            raise PlatformValidationError(f"{self.tag}: identity axiom fails")
+        mul = t.H.mul
+        for s in _generating_set(t.H):
+            # row h, column x: apply(s, apply(h, x)) against apply(s . h, x)
+            if not np.array_equal(act[s][act], act[mul[s]]):
+                raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
+        if t.from_factors:
+            entries = rng.sample(range(t.H.order * t.G.order), VALIDATION_TRIPLES)
+            h, x = np.divmod(entries, t.G.order)
+            images = map(self.apply_p, itemgetter(*h.tolist())(t.H.elements),
+                         itemgetter(*x.tolist())(t.G.elements))
+            if list(map(t.G.index.get, images)) != act.reshape(-1)[entries].tolist():
+                raise PlatformValidationError(
+                    f"{self.tag}: apply_p disagrees with the action table")
+
+    def _validate_exact(self, rng: Random) -> None:
+        """The sandwich check of ``validate()``; an action of another kind
+        raises PlatformValidationError unless its class checks it exactly."""
+        maps = self._sandwich_maps
+        if maps is None:
+            raise PlatformValidationError(
+                f"{self.tag}: too large to tabulate, and not an action that can be checked exactly")
+        H, G = self.acting, self.target
+        e, compose, apply = H.identity_p, G.compose_p, self.apply_p
+        hs = [e, *(H.sample_p(rng) for _ in range(3))]
+        xs = [G.identity_p, *(G.sample_p(rng) for _ in range(3))]
+        if maps(e) != (G.identity_p, G.identity_p) or any(apply(e, x) != x for x in xs):
+            raise PlatformValidationError(f"{self.tag}: identity axiom fails")
+        lr = {h: maps(h) for h in hs}
+        for h, (l, r) in lr.items():
+            for x in xs:
+                y = apply(h, x)
+                if not G.contains_p(y):
+                    raise PlatformValidationError(f"{self.tag}: an image leaves the target group")
+                if y != compose(compose(l, x), r):
+                    raise PlatformValidationError(
+                        f"{self.tag}: apply_p disagrees with its sandwich maps")
+        for (b, (lb, rb)), (a, (la, ra)) in itertools.product(lr.items(), repeat=2):
+            if maps(H.compose_p(b, a)) != (compose(lb, la), compose(ra, rb)):
+                raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.tag}>"
@@ -544,10 +577,9 @@ class ExponentAction(GroupAction):
         return pow(int.from_bytes(x, "big"), int.from_bytes(h, "big"), self.p).to_bytes(
             self.target.payload_len, "big")
 
-    def validate(self, rng: Random | None = None) -> None:
-        """A tabulable ExponentAction is checked over its tables like any
-        other platform. A larger one is checked exactly, by arithmetic in the
-        exponent, with no element drawn.
+    def _validate_exact(self, rng: Random) -> None:
+        """An ExponentAction too large to tabulate is checked exactly, by
+        arithmetic in the exponent, with no element drawn.
 
         Its target G = <g> was built with g^q = 1 and g^(q/r) != 1 for every
         prime r dividing q, so |G| = q and x^q = 1 for every x in G: x^a
@@ -558,8 +590,6 @@ class ExponentAction(GroupAction):
         re-verifies g^q = 1 and that H's modulus is |G|, then runs
         ``apply_p`` through both axioms at x = g and x = g^2 for a few fixed
         units, so that an ``apply_p`` other than x^h still fails."""
-        if self.tabulable:
-            return super().validate(rng)
         H, G = self.acting, self.target
         if pow(G.g, G.order, G.p) != 1:
             raise PlatformValidationError(f"{self.tag}: g^{G.order} != 1 mod {G.p}")
@@ -585,10 +615,18 @@ def _require_subgroup(target: FiniteGroup, sub: FiniteGroup, role: str) -> None:
             f"{role} group family {sub.family} does not match the target's {target.family}")
     if sub is target:
         return
+    # exact by Lagrange: a subgroup's order divides the group's order
+    if sub.order > target.order:
+        raise PlatformValidationError(
+            f"{role} of order {sub.order} is not contained in {target.tag} of order {target.order}")
     if sub.order <= ENUMERATION_CAP:
         for p in sub.elements_p():
             if not target.contains_p(p):
                 raise PlatformValidationError(f"{role} is not contained in {target.tag}")
+    elif not isinstance(sub, (SymmetricGroup, GL2Group)):
+        raise PlatformValidationError(f"{role} is too large to check for containment")
+    # else sub is its family's full group: it holds the target, whose order
+    # is not smaller, so the two are equal
 
 
 class ConjugationAction(GroupAction):
@@ -608,9 +646,8 @@ class ConjugationAction(GroupAction):
     def apply_p(self, h, x):
         return self._conj(h, x)
 
-    def _sandwich_factors(self):
-        hs = self.acting.elements_p()
-        return [self.target.invert_p(h) for h in hs], hs
+    def _sandwich_maps(self, h):
+        return self.target.invert_p(h), h
 
 
 class TwistedConjugacyAction(GroupAction):
@@ -670,9 +707,8 @@ class TwistedConjugacyAction(GroupAction):
     def apply_p(self, h, x):
         return self._twist(h, x, self._endo[h])
 
-    def _sandwich_factors(self):
-        hs = self.acting.elements_p()
-        return [self.target.invert_p(h) for h in hs], [self._endo[h] for h in hs]
+    def _sandwich_maps(self, h):
+        return self.target.invert_p(h), self._endo[h]
 
 
 class DoubleCosetAction(GroupAction):
@@ -704,9 +740,8 @@ class DoubleCosetAction(GroupAction):
     def apply_p(self, hj, x):
         return self._sandwich(hj[: self._cut], x, hj[self._cut :])
 
-    def _sandwich_factors(self):
-        hjs, cut = self.acting.elements_p(), self._cut
-        return [hj[:cut] for hj in hjs], [hj[cut:] for hj in hjs]
+    def _sandwich_maps(self, hj):
+        return hj[: self._cut], hj[self._cut :]
 
     def pair(self, h: GroupElement, j: GroupElement) -> GroupElement:
         """Bundle one element of each subgroup into an acting-group element."""

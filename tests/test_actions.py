@@ -15,6 +15,7 @@ from bdga.actions import (
     ConjugationAction,
     DoubleCosetAction,
     ExponentAction,
+    GroupAction,
     TwistedConjugacyAction,
     _generating_set,
     double_act,
@@ -27,11 +28,13 @@ from bdga.errors import (
 from bdga.groups import (
     GL2Group,
     ModCyclicGroup,
+    ProductGroup,
     SymmetricGroup,
     UnitsModGroup,
     generated_perm_group,
 )
 from bdga.platforms import PRESET_NAMES, make_platform, platform_from_descriptor, preset
+from named_platforms import platform_named
 
 # -- independent mini-oracles ---------------------------------------------------
 
@@ -421,8 +424,8 @@ class RightConjugation(ConjugationAction):
     """x -> h^-1 x h with the subgroup acting as itself, not as its opposite
     group: a right action passed off as a left one."""
 
-    def __init__(self, group):
-        super().__init__(group, group, group.wrap(group.elements_p()[1]))
+    def __init__(self, group, base=None):
+        super().__init__(group, group, base or group.wrap(group.elements_p()[1]))
         self.acting = group
 
 
@@ -444,7 +447,7 @@ class CollapsingConjugation(ConjugationAction):
         return self.base_p
 
 
-@pytest.mark.parametrize("degree", [3, 7], ids=["table", "sampled"])
+@pytest.mark.parametrize("degree", [3, 7], ids=["table", "sandwich"])
 def test_validate_catches_an_identity_that_moves_points(degree):
     sym = SymmetricGroup(degree)
     pf = CollapsingConjugation(sym, sym, sym.wrap(bytes([2, 1, *range(3, degree + 1)])))
@@ -488,12 +491,12 @@ def test_validate_catches_a_right_action_on_the_tables():
     assert "tables" in vars(pf)  # the table branch ran
 
 
-def test_validate_catches_a_right_action_by_sampling():
+def test_validate_catches_a_right_action_by_its_sandwich_maps():
     pf = RightConjugation(SymmetricGroup(7))
     assert not pf.tabulable and pf.acting.order * pf.target.order > VALIDATION_TRIPLES
     with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
         pf.validate()
-    assert "tables" not in vars(pf)  # the sampled branch ran
+    assert "tables" not in vars(pf)  # the sandwich check ran
 
 
 class MisreportedConjugation(ConjugationAction):
@@ -511,6 +514,108 @@ def test_validate_compares_apply_p_with_a_table_read_off_the_factors():
     assert pf.tables.from_factors
     with pytest.raises(PlatformValidationError, match="apply_p disagrees with the action table"):
         pf.validate()
+
+
+class RightFactorDoubleCoset(DoubleCosetAction):
+    """x -> h x j with the right subgroup acting as itself, not as its
+    opposite group."""
+
+    def __init__(self, target, base):
+        super().__init__(target, target, target, base)
+        self.acting = ProductGroup(target, target)
+
+
+class ZeroingConjugation(ConjugationAction):
+    """Conjugation whose images by every acting element but the identity
+    are not permutations, so they leave the target."""
+
+    def apply_p(self, h, x):
+        return x if h == self.acting.identity_p else bytes(len(x))
+
+
+S10 = SymmetricGroup(10)
+S10_BASE = S10.wrap(bytes([*range(2, 11), 1]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CollapsingConjugation(S10, S10, S10_BASE), "identity axiom fails"),
+    (lambda: RightConjugation(S10, S10_BASE), "compatibility axiom fails"),
+    (lambda: MisreportedConjugation(S10, S10, S10_BASE),
+     "apply_p disagrees with its sandwich maps"),
+    (lambda: RightFactorDoubleCoset(S10, S10_BASE), "compatibility axiom fails"),
+    (lambda: ZeroingConjugation(S10, S10, S10_BASE), "an image leaves the target group"),
+], ids=["collapsing", "right_acting", "misreported", "dcoset_right_factor", "escaping"])
+def test_exact_sandwich_validation_catches_mutants(build, message):
+    pf = build()
+    assert not pf.tabulable
+    with pytest.raises(PlatformValidationError, match=message):
+        pf.validate()
+
+
+@pytest.mark.parametrize("name", ["s10_conj", "gl27_conj"])
+def test_exact_sandwich_validation_makes_a_few_dozen_calls(name):
+    """Three draws from each group and the identities: at most 20 apply_p
+    calls, and 6 draws, each of H counted twice through its opposite
+    group's base."""
+    pf = platform_named(name)
+    applies, draws = [], []
+    apply = pf.apply_p
+    pf.apply_p = lambda h, x: applies.append((h, x)) or apply(h, x)
+    for group in (pf.acting, pf.target):
+        group.sample_p = lambda rng, draw=group.sample_p: draws.append(1) or draw(rng)
+    pf.validate()
+    assert 0 < len(applies) <= 20 and 0 < len(draws) <= 9
+    assert "tables" not in vars(pf)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_exact_validation_passes_on_every_preset(name):
+    preset(name)._validate_exact(Random(0xA11))
+
+
+@pytest.mark.parametrize("mutant", [CollapsingConjugation, RightConjugation,
+                                    MisreportedConjugation],
+                         ids=["collapsing", "right_acting", "misreported"])
+def test_exact_validation_raises_where_the_table_check_raises(mutant):
+    s5 = SymmetricGroup(5)
+    base = s5.wrap(bytes([2, 3, 4, 5, 1]))
+    pf = mutant(s5, base) if mutant is RightConjugation else mutant(s5, s5, base)
+    assert pf.tabulable
+    with pytest.raises(PlatformValidationError):
+        pf.validate()
+    with pytest.raises(PlatformValidationError):
+        pf._validate_exact(Random(0xA11))
+
+
+class UntabulableShift(GroupAction):
+    """A left action by no sandwich construction and with no exact check:
+    the units mod q acting on themselves by multiplication."""
+
+    def __init__(self, q):
+        units = UnitsModGroup(q)
+        super().__init__(f"shift{q}", units, units, units.identity_p)
+        self.apply_p = units.compose_p
+
+
+def test_validate_refuses_an_untabulable_action_it_cannot_check_exactly():
+    pf = UntabulableShift(100043)
+    assert not pf.tabulable
+    with pytest.raises(PlatformValidationError, match="not an action that can be checked exactly"):
+        pf.validate()
+
+
+@pytest.mark.parametrize("kind, role", [("conjugation", "subgroup"), ("double_coset", "left")])
+def test_a_full_subgroup_above_the_cap_must_be_the_target(kind, role):
+    # S10 is too large to enumerate: by Lagrange it is refused as a subgroup
+    # of the order-10 cyclic group, and as its family's full group it is
+    # accepted in S10
+    cycle = [*range(2, 11), 1]
+    with pytest.raises(PlatformValidationError,
+                       match="of order 3628800 is not contained in .* of order 10"):
+        make_platform(kind, family="perm", degree=10, group=[cycle], base=cycle,
+                      **{role: "full"})
+    pf = make_platform(kind, family="perm", degree=10, group="full", base=cycle, **{role: "full"})
+    assert pf.target.order == 3628800
 
 
 class CollapsingExponent(ExponentAction):

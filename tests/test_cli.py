@@ -122,6 +122,18 @@ def test_run_bad_permutation_input_exits_2(tmp_path, capsys, kind, params):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, role", [("conjugation", "subgroup"), ("double_coset", "left")])
+def test_run_full_subgroup_outside_a_large_degree_target_exits_2(tmp_path, capsys, kind, role):
+    # S10 is too large to enumerate, and is no subgroup of an order-10 group
+    cycle = [*range(2, 11), 1]
+    desc = write_descriptor(tmp_path, kind, family="perm", degree=10, group=[cycle], base=cycle,
+                            **{role: "full"})
+    assert run_cli("run", "--platform", desc, "--n", "3", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not contained in" in err
+    assert not list(tmp_path.glob("x*"))
+
+
 @pytest.mark.parametrize("tag", [5, True, ["s4"]])
 def test_run_descriptor_tag_not_a_string_exits_2(tmp_path, capsys, tag):
     desc = write_descriptor(tmp_path, "conjugation", family="perm", degree=4, base=[2, 3, 4, 1],

@@ -1,6 +1,7 @@
-"""Element kernels: algebraic laws, and the permutation kernels against
-reference loops."""
+"""Element kernels: algebraic laws, the permutation kernels against
+reference loops, and the fused matrix kernels against the products they fuse."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -139,3 +140,29 @@ class TestMatLaws:
             k.mat2_transpose_invert(h, p), k.mat2_transpose_invert(x, p), p
         )
 
+
+
+def gl2(p):
+    return [bytes(t) for t in itertools.product(range(p), repeat=4)
+            if (t[0] * t[3] - t[1] * t[2]) % p]
+
+
+def mat2_triples(p):
+    """Every triple of GL(2, p) for p = 2 and 3, else 20,000 seeded ones."""
+    els = gl2(p)
+    if p <= 3:
+        return itertools.product(els, repeat=3)
+    rng = Random(p)
+    return ([rng.choice(els) for _ in range(3)] for _ in range(20_000))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fused_mat2_kernels_are_the_composition(p):
+    """The one-pass sandwich kernels leave the bytes of the products and
+    inverse they fuse, exhaustively for p = 2 and 3."""
+    compose, invert = k.mat2_compose, k.mat2_invert
+    for h, x, t in mat2_triples(p):
+        hinv = invert(h, p)
+        assert k.mat2_sandwich(h, x, t, p) == compose(compose(h, x, p), t, p)
+        assert k.mat2_twisted(h, x, t, p) == compose(compose(hinv, x, p), t, p)
+        assert k.mat2_conjugate(h, x, p) == compose(compose(hinv, x, p), h, p)
