@@ -442,9 +442,10 @@ class IndexStream:
 
     Passed to a sampler in place of a ``Random``, it makes the sampler run
     once over the whole batch (``_BatchOps``): every element is a (trials,)
-    array of table indices, and trial t is entry t of each. Each draw takes
-    the next ``integers`` block of the stream, uniform over the group's
-    indices in its table's dtype."""
+    array of table indices in its table's dtype, and trial t is entry t of
+    each; every lookup on them is one flat ``take`` that keeps that dtype.
+    Each draw takes the next ``integers`` block of the stream, uniform over
+    the group's indices in its table's dtype."""
 
     def __init__(self, seed: int, trials: int):
         self.trials = trials
@@ -454,13 +455,27 @@ class IndexStream:
 class _BatchOps:
     """Element operations on index arrays, one entry per trial of an
     IndexStream: the lookups of ``_IndexOps``, made by numpy over a whole
-    batch."""
+    batch.
+
+    Each lookup is one 1-D ``take`` from a flat table, and its result keeps
+    the table's dtype. A binary lookup t[a, b] on a table of row width m
+    reads ``flat.take(np.multiply(a, m, dtype=np.intp) + b)``: the flat
+    position is formed in intp, so it cannot wrap in the elements' small
+    dtype (at |H| = 576, 576^2 > 2^16), and it lives for one call.
+    apply(h, g) at the base point reads the action table's base column, and
+    an inverse reads the inverse table."""
 
     def __init__(self, platform: GroupAction):
         t = platform.tables
+        H, G = t.H, t.G
         self.platform = platform
         self.g = t.base
-        self._H, self._G, self._act = t.H, t.G, t.act
+        self._H, self._G = H, G
+        self._act_flat, self._hmul_flat, self._gmul_flat = (
+            table.reshape(-1) for table in (t.act, H.mul, G.mul))
+        self._hinv, self._ginv = np.asarray(H.inv), np.asarray(G.inv)
+        self._base_column = np.ascontiguousarray(t.act[:, t.base])
+        self._nh, self._ng = H.order, G.order
         self._tuple = _records()[2]
 
     def draw_h(self, stream: IndexStream, rows=None) -> np.ndarray:
@@ -476,23 +491,27 @@ class _BatchOps:
         return stream.generator.integers(table.order, size=size, dtype=table.dtype)
 
     def act(self, h, x) -> np.ndarray:
-        return self._act[h, x]
+        """apply(h, x) per trial, for x the base point's index or an index
+        array."""
+        if not isinstance(x, np.ndarray) and x == self.g:
+            return self._base_column.take(h)
+        return self._act_flat.take(np.multiply(h, self._ng, dtype=np.intp) + x)
 
     def hmul(self, a, b) -> np.ndarray:
-        return self._H.mul[a, b]
+        return self._hmul_flat.take(np.multiply(a, self._nh, dtype=np.intp) + b)
 
     def hinv(self, a) -> np.ndarray:
-        return np.asarray(self._H.inv)[a]
+        return self._hinv.take(a)
 
     def gmul(self, a, b) -> np.ndarray:
-        return self._G.mul[a, b]
+        return self._gmul_flat.take(np.multiply(a, self._ng, dtype=np.intp) + b)
 
     def prod(self, seq) -> np.ndarray:
         """The ordered product of a non-empty ``seq``, one lookup per link."""
         return functools.reduce(self.gmul, seq)
 
     def ginv(self, a) -> np.ndarray:
-        return np.asarray(self._G.inv)[a]
+        return self._ginv.take(a)
 
     @staticmethod
     def from_h(elements) -> list[np.ndarray]:
@@ -508,19 +527,19 @@ class _BatchOps:
         that trial's ``points``: the rejected entries are redrawn, in trial
         order, until none is left."""
         a, b = points
-        act, g = self._act, self.g
+        column = self._base_column
         h = self.draw_h(stream)
-        image = act[h, g]
+        image = column.take(h)
         rows = np.flatnonzero((image == a) | (image == b))
         while rows.size:
             h[rows] = self.draw_h(stream, rows)
-            image = act[h[rows], g]
+            image = column.take(h[rows])
             rows = rows[(image == a[rows]) | (image == b[rows])]
         return h
 
     def ddh_tuple(self, x, y, z, r, kind: str):
-        act, g = self._act, self.g
-        return self._tuple(*(act[w, g] for w in (x, y, z, r)), kind, (x, y, z, r))
+        column = self._base_column
+        return self._tuple(*(column.take(w) for w in (x, y, z, r)), kind, (x, y, z, r))
 
     @staticmethod
     def sample(n: int, vs, ws, zs, sk, internals: dict) -> np.ndarray:

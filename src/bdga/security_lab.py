@@ -470,9 +470,10 @@ def tv_distance(
     the partition buckets the rows. The expected noise floor for identical
     samplers is about 0.57 * sqrt(buckets / trials), inside the interval's
     half-width. A partition that puts every row in one bucket warns; its
-    statistic is 0."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    statistic is 0. A trial count that is not an int >= 1, such as True or
+    2.5, raises ValueError before any draw."""
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, not {trials!r}")
     counts = np.zeros((2, partition.buckets), dtype=np.int64)
     for side, (label, draw) in enumerate((("a", draw_a), ("b", draw_b))):
         rows = draw(IndexStream(derive_seed(seed, label), trials))

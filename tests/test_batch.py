@@ -9,6 +9,7 @@ batch must be the sample that trial's draws give, on every preset, for all
 five samplers and both challenge-tuple kinds.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -180,6 +181,39 @@ def test_batch_rejects_payload_inputs():
         sample_dist(pf, 1, tup, stream)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_batch_lookups_match_the_2d_tables(name):
+    # each lookup is a flat take at a position formed in intp; on most
+    # presets the last position does not fit the elements' dtype, so a
+    # position formed in that dtype would wrap at the largest indices
+    pf = preset(name)
+    t = pf.tables
+    H, G, ops = t.H, t.G, actions._BatchOps(pf)
+    generator = np.random.default_rng(17)
+
+    def indices(table):
+        drawn = generator.integers(table.order, size=300, dtype=table.dtype)
+        drawn[:3] = 0, table.order - 1, table.order - 1
+        return drawn
+
+    h, h2, x, x2 = indices(H), indices(H), indices(G), indices(G)
+    h2[1] = x2[1] = 0
+    cases = {
+        "act(h, g)": (ops.act(h, ops.g), t.act[h, t.base], G),
+        "act(h, x)": (ops.act(h, x), t.act[h, x], G),
+        "hmul": (ops.hmul(h, h2), H.mul[h, h2], H),
+        "gmul": (ops.gmul(x, x2), G.mul[x, x2], G),
+        "hinv": (ops.hinv(h), np.asarray(H.inv)[h], H),
+        "ginv": (ops.ginv(x), np.asarray(G.inv)[x], G),
+        "prod": (ops.prod([x, x2, x[::-1]]), G.mul[G.mul[x, x2], x[::-1]], G),
+    }
+    for label, (got, want, table) in cases.items():
+        assert got.dtype == table.dtype, (label, got.dtype)
+        assert got.tolist() == want.tolist(), label
+    if name in ("gl25_conj", "gl25_twist", "sl23_dcoset"):
+        assert H.order ** 2 > np.iinfo(H.dtype).max + 1
+
+
 # -- the TV suites on the batch stream --------------------------------------------------
 
 
@@ -189,6 +223,43 @@ def test_suite_result_is_deterministic(suite):
                        sort_keys=True) for seed in (11, 11, 12)]
     assert runs[0] == runs[1]
     assert runs[0] != runs[2]
+
+
+# sha256 of json.dumps(result, sort_keys=True) for each TV suite at s = 1,
+# 3000 trials and seed 29, recorded before the batch lookups became flat takes
+SUITE_DIGESTS = {
+    ("s4_conj", "real_vs_distprime_dh"):
+        "cbefcf247dc42ca81fcf85752d5ce2b2281d60fdcce156e6ffb50b60707e69be",
+    ("s4_conj", "fakeprime_vs_distprime_rand"):
+        "3086d02311d3ccc193567330202363a6a35e789504e90aa82f8f70d84ee5b0ad",
+    ("s4_conj", "fakeprime_vs_dist_dh"):
+        "37e15247c7d1c0ae1584679286e83d70c380d47346546d859ffc10f85a0848c6",
+    ("s4_conj", "fake_vs_dist_rand"):
+        "9cbe1989857ed5fd978074a9817f367e1e423352539b6f288a2adbd0b77145de",
+    ("gl25_twist", "real_vs_distprime_dh"):
+        "28969ede4c5dd7a446e352ecf185704325dbe1e71bd3e9d72d498cf7b235dff8",
+    ("gl25_twist", "fakeprime_vs_distprime_rand"):
+        "c890f130e6d8e63aaeeaf4fac5bbd1016e46a807f896903dd1ea13dd972cefaf",
+    ("gl25_twist", "fakeprime_vs_dist_dh"):
+        "703148fa534ff21f65c758b8faeb99392efe1fe01f08159bfbff7c07983dbc5b",
+    ("gl25_twist", "fake_vs_dist_rand"):
+        "5f4ad77f5a5eae0c9efae12cc5821ea2fafcb3570e6b8a589d6e64a33f40cee9",
+    ("sl23_dcoset", "real_vs_distprime_dh"):
+        "a973998aaa8671d231535d99df4368c2ca15935c34ccfcf810c6293dc3193aa0",
+    ("sl23_dcoset", "fakeprime_vs_distprime_rand"):
+        "af3d0ef8e4ff9f443be4e1986ad8a86f120b60caa5e3a8edcbc92e3395596466",
+    ("sl23_dcoset", "fakeprime_vs_dist_dh"):
+        "0b8e8f79d8e58d32b40f998bad445ee64f13712c64acf699329ce17224c641cc",
+    ("sl23_dcoset", "fake_vs_dist_rand"):
+        "03b2993f836d8ebe2de7fc1297e0316e23e64e0882920dd3a93901a5078451fe",
+}
+
+
+@pytest.mark.parametrize("platform,suite", sorted(SUITE_DIGESTS))
+def test_suite_result_matches_its_pinned_digest(platform, suite):
+    result = run_experiment(suite, platform, s=1, trials=3000, seed=29)
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+    assert digest == SUITE_DIGESTS[platform, suite]
 
 
 def test_batch_identical_samplers_is_noise_floor():

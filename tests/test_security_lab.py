@@ -394,6 +394,13 @@ def test_tv_degenerate_partition_warns():
     assert any("degenerate" in str(w.message) for w in caught)
 
 
+@pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, 0, -1, "3", None])
+def test_tv_distance_refuses_a_trial_count_that_is_not_a_positive_int(trials):
+    streams = []
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        tv_distance(streams.append, streams.append, trials, hash_partition(4), seed=23)
+    assert streams == []  # no side was drawn
+
 def test_tv_real_vs_fake_positive_and_seed_stable():
     def real(stream):
         return sample_real(BD, 8, stream)
