@@ -4,17 +4,19 @@ An action binds an acting group (H, .) to a target group (G, *) with a base
 point g in G and a map apply: H x G -> G satisfying apply(e, x) = x and
 apply(h2, apply(h1, x)) = apply(h2 . h1, x).
 
-For the sandwich-style constructions (conjugation h^-1 x h, twisted
-conjugacy h^-1 x t(h), right translation x j) the acting group is the
-opposite group of the chosen subgroup, which is exactly what makes the
-second axiom hold with composition on the left.
+The sandwich constructions are written in one form,
+apply(h, x) = a(h)^-1 x r(h), from the maps ``_sandwich_maps(h) = (a(h), r(h))``:
+(h, h) for conjugation, (h, t(h)) for twisted conjugacy and (h^-1, j) for
+a double coset. Their acting group is the opposite group of the chosen
+subgroup (for a double coset, of the right one), which is exactly what
+makes the second axiom hold with composition on the left. The maps drive
+``apply_p``, the action table and ``validate()`` alike.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
 from random import Random
 from typing import Callable
 
@@ -33,52 +35,40 @@ from .groups import (
     UnitsModGroup,
 )
 
-# The action table applies every acting element to every target element up
-# to this many entries; above it, a sandwich action's table is read off the
-# target's products and ``validate()`` compares ``apply_p`` with it on this
-# many sampled entries. ``TwistedConjugacyAction`` checks an endomorphism
-# on this many sampled pairs when there are too many pairs to check them all.
-VALIDATION_TRIPLES = 10_000
-
-
 class ActionTables:
-    """A platform by element index: kept as ``GroupAction.tables`` by
-    tabulable platforms, and built by ``validate()`` for its exhaustive check
-    of a small platform that is not tabulable.
+    """A tabulable platform by element index, kept as ``GroupAction.tables``.
 
     ``H`` and ``G`` are the acting and target groups' ``GroupTable``s,
     ``base`` is the index of the base point, and ``act[h, x]`` the index of
     apply(h, x); ``act_flat[h * |G| + x]`` reads it one entry at a time.
-    Below VALIDATION_TRIPLES entries, or on a platform that is not tabulable,
-    the table applies every acting element to every target element once
-    (``from_factors`` is False), and raises PlatformValidationError if an
-    image is not in the target. Larger tabulable sandwich actions,
-    apply(h, x) = l(h) * x * r(h), read it from the target's product table
-    and their ``_sandwich_maps`` instead (``from_factors`` is True), and
-    ``validate()`` compares ``apply_p`` with it on VALIDATION_TRIPLES
-    sampled entries.
+    A sandwich action, apply(h, x) = a(h)^-1 * x * r(h), reads the table off
+    its ``_sandwich_maps``, the maps its ``apply_p`` runs on, and the
+    target's inverse and product tables: one maps call per acting element.
+    Any other action applies every acting element to every target element
+    once. Either way a map value or image outside the target raises
+    PlatformValidationError.
     """
 
     def __init__(self, action: "GroupAction"):
         self.H: GroupTable = action.acting.table
         self.G: GroupTable = action.target.table
         self.base = self.G.index[action.base_p]
-        index = self.G.index
-        maps = action._sandwich_maps
-        self.from_factors = (maps is not None and action.tabulable
-                             and self.H.order * self.G.order > VALIDATION_TRIPLES)
-        if self.from_factors:
-            left, right = (np.array([index[p] for p in side], dtype=np.intp)
-                           for side in zip(*map(maps, self.H.elements)))
+        index, maps = self.G.index, action._sandwich_maps
+
+        def indices(payloads) -> np.ndarray:
+            found = np.array([index.get(p, -1) for p in payloads], dtype=np.intp)
+            if (found < 0).any():
+                raise PlatformValidationError(f"{action.tag}: an image leaves the target group")
+            return found
+
+        if maps is not None:
+            a, r = map(indices, zip(*map(maps, self.H.elements)))
             mul = self.G.mul
-            self.act = mul[mul[left], right[:, None]]
+            self.act = mul[mul[np.asarray(self.G.inv)[a]], r[:, None]]
         else:
             apply = action.apply_p
-            act = np.array([[index.get(apply(h, x), -1) for x in self.G.elements]
-                            for h in self.H.elements], dtype=np.int64)
-            if (act < 0).any():
-                raise PlatformValidationError(f"{action.tag}: an image leaves the target group")
-            self.act = act.astype(self.G.dtype)
+            images = indices(apply(h, x) for h in self.H.elements for x in self.G.elements)
+            self.act = images.reshape(self.H.order, self.G.order).astype(self.G.dtype)
         self.act.flags.writeable = False
         self.act_flat = memoryview(self.act.reshape(-1))
 
@@ -151,10 +141,11 @@ class GroupAction:
     def apply_p(self, h: bytes, x: bytes) -> bytes:
         raise NotImplementedError
 
-    # For an action of the form apply(h, x) = l(h) * x * r(h): the method
-    # ``_sandwich_maps(h)`` returns the target payloads (l(h), r(h)). It is
-    # None for any other action. A subclass that overrides ``apply_p``
-    # overrides it to match.
+    # For a sandwich action, apply(h, x) = a(h)^-1 * x * r(h): the method
+    # ``_sandwich_maps(h)`` returns the target payloads (a(h), r(h)), and the
+    # class's ``apply_p`` runs its family's ``twisted_p`` on them. It is None
+    # for any other action. Each sandwich class defines ``apply_p`` in its
+    # own body, so that a profile (perfbench's tracer) times it per class.
     _sandwich_maps: Callable[[bytes], tuple[bytes, bytes]] | None = None
 
     @property
@@ -189,32 +180,31 @@ class GroupAction:
         """Check the two action axioms; raises PlatformValidationError on the
         first violation.
 
-        A tabulable platform, or one of at most VALIDATION_TRIPLES entries, is
-        checked exhaustively over its action table: the identity row, then
-        apply(s, apply(h, x)) = apply(s . h, x) for every h and x and each s
-        of a generating set of H. Every acting element is a product of
-        generators, so by induction this covers every h2 in place of s.
-        Where the table was read off the sandwich maps, ``apply_p`` is
-        compared with it on VALIDATION_TRIPLES distinct entries drawn from
-        ``rng``.
+        A tabulable platform is checked exhaustively over its action table:
+        the identity row, then apply(s, apply(h, x)) = apply(s . h, x) for
+        every h and x and each s of a generating set of H. Every acting
+        element is a product of generators, so by induction this covers
+        every h2 in place of s. A sandwich action's table is read off its
+        maps, so this checks the maps its ``apply_p`` runs on, and no
+        ``apply_p`` call is made.
 
-        A larger platform is checked by ``_validate_exact``; for a sandwich
-        action, apply(h, x) = l(h) x r(h), the axioms hold by construction.
-        l(e) = r(e) = e gives apply(e, x) = x, and l(b . a) = l(b) l(a) with
-        r(b . a) = r(a) r(b) gives apply(b, apply(a, x)) = apply(b . a, x).
-        Conjugation: H = K^op, l(h) = h^-1, r(h) = h, b . a = ab. Twisted
-        conjugacy: r = t, multiplicative (a table by ``extend_homomorphism``,
-        transpose-inverse by algebra, else ``_multiplicative``). Double coset:
-        H = L x R^op, l(a, b) = a, r(a, b) = b. Images stay in G, as K, L, R
-        and t(K) lie in G. The code is checked against this on the identity
-        and three draws of each group: apply_p(h, x) = l(h) x r(h) in G,
-        apply_p(e, x) = x, and both identities for every pair under
-        ``H.compose_p``."""
-        rng = rng or Random(0xA11)
-        if not (self.tabulable or self.acting.order * self.target.order <= VALIDATION_TRIPLES):
-            return self._validate_exact(rng)
-        # needs only the action table and H's products, never G's
-        t = self.tables if self.tabulable else ActionTables(self)
+        A platform too large to tabulate is checked by ``_validate_exact``,
+        from ``rng``. A sandwich action, apply(h, x) = a(h)^-1 x r(h), meets
+        both axioms when its maps meet three identities under H's own
+        product: a(e) = r(e) = e gives apply(e, x) = x, and
+        a(b . c) = a(c) a(b) with r(b . c) = r(c) r(b) gives
+        apply(b, apply(c, x)) = a(b)^-1 a(c)^-1 x r(c) r(b)
+        = a(b . c)^-1 x r(b . c) = apply(b . c, x). Conjugation: H = K^op,
+        a(h) = r(h) = h, b . c = cb. Twisted conjugacy: a(h) = h and r = t,
+        multiplicative (a table by ``extend_homomorphism``, transpose-inverse
+        by algebra, else ``_multiplicative``). Double coset: H = L x R^op,
+        a(h, j) = h^-1, r(h, j) = j. Images stay in G, as K, L, R and t(K)
+        lie in G. The maps are checked against this on the identity and
+        three draws of H: a(e) = r(e) = e, every map value lies in G, and
+        both identities hold for every pair under ``H.compose_p``."""
+        if not self.tabulable:
+            return self._validate_exact(rng or Random(0xA11))
+        t = self.tables
         act = t.act
         if not np.array_equal(act[t.H.identity], np.arange(t.G.order)):
             raise PlatformValidationError(f"{self.tag}: identity axiom fails")
@@ -223,39 +213,24 @@ class GroupAction:
             # row h, column x: apply(s, apply(h, x)) against apply(s . h, x)
             if not np.array_equal(act[s][act], act[mul[s]]):
                 raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
-        if t.from_factors:
-            entries = rng.sample(range(t.H.order * t.G.order), VALIDATION_TRIPLES)
-            h, x = np.divmod(entries, t.G.order)
-            images = map(self.apply_p, itemgetter(*h.tolist())(t.H.elements),
-                         itemgetter(*x.tolist())(t.G.elements))
-            if list(map(t.G.index.get, images)) != act.reshape(-1)[entries].tolist():
-                raise PlatformValidationError(
-                    f"{self.tag}: apply_p disagrees with the action table")
 
     def _validate_exact(self, rng: Random) -> None:
-        """The sandwich check of ``validate()``; an action of another kind
-        raises PlatformValidationError unless its class checks it exactly."""
+        """The sandwich check of ``validate()``, made on the maps alone; an
+        action of another kind raises PlatformValidationError unless its
+        class checks it exactly."""
         maps = self._sandwich_maps
         if maps is None:
             raise PlatformValidationError(
                 f"{self.tag}: too large to tabulate, and not an action that can be checked exactly")
         H, G = self.acting, self.target
-        e, compose, apply = H.identity_p, G.compose_p, self.apply_p
-        hs = [e, *(H.sample_p(rng) for _ in range(3))]
-        xs = [G.identity_p, *(G.sample_p(rng) for _ in range(3))]
-        if maps(e) != (G.identity_p, G.identity_p) or any(apply(e, x) != x for x in xs):
+        e, compose = H.identity_p, G.compose_p
+        ar = {h: maps(h) for h in (e, *(H.sample_p(rng) for _ in range(3)))}
+        if ar[e] != (G.identity_p, G.identity_p):
             raise PlatformValidationError(f"{self.tag}: identity axiom fails")
-        lr = {h: maps(h) for h in hs}
-        for h, (l, r) in lr.items():
-            for x in xs:
-                y = apply(h, x)
-                if not G.contains_p(y):
-                    raise PlatformValidationError(f"{self.tag}: an image leaves the target group")
-                if y != compose(compose(l, x), r):
-                    raise PlatformValidationError(
-                        f"{self.tag}: apply_p disagrees with its sandwich maps")
-        for (b, (lb, rb)), (a, (la, ra)) in itertools.product(lr.items(), repeat=2):
-            if maps(H.compose_p(b, a)) != (compose(lb, la), compose(ra, rb)):
+        if not all(map(G.contains_p, itertools.chain.from_iterable(ar.values()))):
+            raise PlatformValidationError(f"{self.tag}: an image leaves the target group")
+        for (b, (ab, rb)), (c, (ac, rc)) in itertools.product(ar.items(), repeat=2):
+            if maps(H.compose_p(b, c)) != (compose(ac, ab), compose(rc, rb)):
                 raise PlatformValidationError(f"{self.tag}: compatibility axiom fails")
 
     def __repr__(self):
@@ -445,9 +420,12 @@ class IndexStream:
     array of table indices in its table's dtype, and trial t is entry t of
     each; every lookup on them is one flat ``take`` that keeps that dtype.
     Each draw takes the next ``integers`` block of the stream, uniform over
-    the group's indices in its table's dtype."""
+    the group's indices in its table's dtype. A trial count that is not an
+    int >= 1, such as True or 2.5, raises ValueError."""
 
     def __init__(self, seed: int, trials: int):
+        if type(trials) is not int or trials < 1:
+            raise ValueError(f"trials must be an int >= 1, not {trials!r}")
         self.trials = trials
         self.generator = np.random.Generator(np.random.PCG64(seed))
 
@@ -649,7 +627,8 @@ def _require_subgroup(target: FiniteGroup, sub: FiniteGroup, role: str) -> None:
 
 
 class ConjugationAction(GroupAction):
-    """x -> h^-1 x h for h in a subgroup of the target group."""
+    """x -> h^-1 x h for h in a subgroup of the target group: the maps
+    (h, h)."""
 
     def __init__(self, target: FiniteGroup, subgroup: FiniteGroup, base: GroupElement,
                  tag: str | None = None):
@@ -660,17 +639,19 @@ class ConjugationAction(GroupAction):
             target,
             target.check(base),
         )
-        self._conj = target.conjugate_p
+        self._twist = target.twisted_p
 
     def apply_p(self, h, x):
-        return self._conj(h, x)
+        a, r = self._sandwich_maps(h)
+        return self._twist(a, x, r)
 
     def _sandwich_maps(self, h):
-        return self.target.invert_p(h), h
+        return h, h
 
 
 class TwistedConjugacyAction(GroupAction):
-    """x -> h^-1 x t(h) for an endomorphism t of the target group."""
+    """x -> h^-1 x t(h) for an endomorphism t of the target group: the maps
+    (h, t(h))."""
 
     def __init__(
         self,
@@ -701,38 +682,50 @@ class TwistedConjugacyAction(GroupAction):
         self._twist = target.twisted_p
 
     def _multiplicative(self, subgroup: FiniteGroup, target: FiniteGroup) -> bool:
-        """Whether the images respect the subgroup's products: over both
-        groups' product tables on a tabulable platform with more than
-        VALIDATION_TRIPLES pairs (whose action tables build the target's
-        products anyway), else on every pair of a subgroup of order at most
-        1000, else on sampled pairs."""
-        endo = self._endo
-        if self.tabulable and subgroup.order * target.order > VALIDATION_TRIPLES:
-            S, G = subgroup.table, target.table
-            # e[s]: the target index of the image of subgroup element s
-            e = np.array([G.index[endo[h]] for h in S.elements], dtype=np.intp)
-            return np.array_equal(e[S.mul], G.mul[e[:, None], e[None, :]])
-        members = subgroup.elements_p()
-        if len(members) ** 2 <= ENUMERATION_CAP:
-            pairs = itertools.product(members, repeat=2)
-        else:
-            rng = Random(0xE2D)
-            pairs = (
-                (subgroup.sample_p(rng), subgroup.sample_p(rng)) for _ in range(VALIDATION_TRIPLES)
-            )
-        compose_s, compose_t = subgroup.compose_p, target.compose_p
-        return all(endo[compose_s(a, b)] == compose_t(endo[a], endo[b]) for a, b in pairs)
+        """Whether the images t respect the subgroup's products, exactly and
+        with no draw: t(e) = e, and t(b s) = t(b) t(s) for every b and each s
+        of a generating set. The set is picked greedily from the payloads,
+        each pick outside the subgroup the earlier ones generate, so there
+        are at most log2 |S| picks. That subgroup is grown by right products
+        with the picks, and each such product b s is checked as it is made:
+        every b against every pick once, |picks| |S| products in each group.
+        Every element is a product of picks, so by induction on its length
+        t(b a) = t(b) t(a) for every pair."""
+        endo, compose_s, compose_t = self._endo, subgroup.compose_p, target.compose_p
+        if endo[subgroup.identity_p] != target.identity_p:
+            return False
+        picks, reached = [], {subgroup.identity_p}
+        for g in subgroup.elements_p():
+            if g in reached:
+                continue
+            # the reached subgroup times the new pick, then each fresh
+            # element times every pick
+            picks.append(g)
+            frontier, by = list(reached), [g]
+            while frontier:
+                fresh = []
+                for b, s in itertools.product(frontier, by):
+                    y = compose_s(b, s)
+                    if endo[y] != compose_t(endo[b], endo[s]):
+                        return False
+                    if y not in reached:
+                        reached.add(y)
+                        fresh.append(y)
+                frontier, by = fresh, picks
+        return True
 
     def apply_p(self, h, x):
-        return self._twist(h, x, self._endo[h])
+        a, r = self._sandwich_maps(h)
+        return self._twist(a, x, r)
 
     def _sandwich_maps(self, h):
-        return self.target.invert_p(h), self._endo[h]
+        return h, self._endo[h]
 
 
 class DoubleCosetAction(GroupAction):
     """x -> h x j for (h, j) in H x J; the two translation actions commute
-    (interchange law), so the pair group acts on the target."""
+    (interchange law), so the pair group acts on the target: the maps
+    (h^-1, j)."""
 
     def __init__(
         self,
@@ -754,13 +747,14 @@ class DoubleCosetAction(GroupAction):
         self.left_sub = left_sub
         self.right_sub = right_sub
         self._cut = left_sub.payload_len
-        self._sandwich = target.sandwich_p
+        self._invert, self._twist = target.invert_p, target.twisted_p
 
     def apply_p(self, hj, x):
-        return self._sandwich(hj[: self._cut], x, hj[self._cut :])
+        a, r = self._sandwich_maps(hj)
+        return self._twist(a, x, r)
 
     def _sandwich_maps(self, hj):
-        return hj[: self._cut], hj[self._cut :]
+        return self._invert(hj[: self._cut]), hj[self._cut :]
 
     def pair(self, h: GroupElement, j: GroupElement) -> GroupElement:
         """Bundle one element of each subgroup into an acting-group element."""

@@ -216,15 +216,13 @@ class _PermBase(FiniteGroup):
     A family base holds what actions and platform builders would otherwise
     branch on: ``family``, here ("perm", degree), equal for groups whose
     payloads and products agree; ``encode(entries)``, an element's payload;
-    ``generated(generators, tag)``, the subgroup they generate; and the
-    sandwich kernels ``conjugate_p(h, x)`` = h^-1 x h,
-    ``sandwich_p(h, x, j)`` = h x j and ``twisted_p(h, x, t)`` = h^-1 x t,
-    here the ``_kernels`` functions themselves.
+    ``generated(generators, tag)``, the subgroup they generate; and the one
+    fused sandwich kernel ``twisted_p(a, x, r)`` = a^-1 x r, which every
+    sandwich action applies to its maps, here the ``_kernels`` function
+    itself.
     """
 
     encode = staticmethod(perm_payload)
-    conjugate_p = staticmethod(kern.perm_conjugate)
-    sandwich_p = staticmethod(kern.perm_sandwich)
     twisted_p = staticmethod(kern.perm_twisted)
 
     def __init__(self, tag: str, degree: int):
@@ -344,7 +342,7 @@ def _det(a: bytes, p: int) -> int:
 class _Mat2Base(FiniteGroup):
     """The 2x2-matrix family mod a prime p, row-major, one byte an entry:
     ``_PermBase``'s contract with ``family`` ("mat2", p) and the
-    ``_kernels`` matrix functions bound to p."""
+    ``_kernels`` matrix kernel bound to p."""
 
     def __init__(self, tag: str, p: int):
         super().__init__(tag)
@@ -352,8 +350,6 @@ class _Mat2Base(FiniteGroup):
         self.family = ("mat2", p)
         self.payload_len = 4
         self.identity_p = bytes((1, 0, 0, 1))
-        self.conjugate_p = lambda h, x: kern.mat2_conjugate(h, x, p)
-        self.sandwich_p = lambda h, x, j: kern.mat2_sandwich(h, x, j, p)
         self.twisted_p = lambda h, x, t: kern.mat2_twisted(h, x, t, p)
 
     def encode(self, entries: Sequence[int] | Sequence[Sequence[int]]) -> bytes:

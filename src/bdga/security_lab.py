@@ -22,7 +22,7 @@ apply(s_{k+1} . s_k, g), as in the protocol. The closing link is
 apply(s_n . s_1, g), where the protocol's is apply(s_1 . s_n, g): the two
 agree on commutative platforms only, so on non-abelian ones the shaped
 hybrids do not reproduce sample_real and sample_fake_prime exactly (ROADMAP
-item 1).
+item 3).
 
 Every sampler takes its randomness as ``rng``. A ``Random`` gives one
 sample, drawn exactly as the byte-level groups draw. An
@@ -232,7 +232,7 @@ def sample_dist_prime(
     the link from party k to k+1 is apply(s_{k+1} . s_k, g) for k = 1..n-1
     and the closing link is apply(s_n . s_1, g), the protocol's
     apply(s_1 . s_n, g) reversed, so the two differ on non-abelian
-    platforms (ROADMAP item 1)."""
+    platforms (ROADMAP item 3)."""
     n = hybrid_regime(s)
     ops = actions._ops(platform, rng)
     draw_h, act, hmul, g = ops.draw_h, ops.act, ops.hmul, ops.g
@@ -295,7 +295,7 @@ def sample_dist(
     uniform positions are fake_prime's, apply(s_{k+1} . s_k, g), except the
     closing link: it is apply(s_n . s_1, g), the reverse of fake_prime's
     apply(s_1 . s_n, g), so the two differ on non-abelian platforms
-    (ROADMAP item 1)."""
+    (ROADMAP item 3)."""
     if closing_link not in ("r", "z"):
         raise ValueError("closing_link must be 'r' or 'z'")
     n = hybrid_regime(s)
@@ -471,9 +471,7 @@ def tv_distance(
     samplers is about 0.57 * sqrt(buckets / trials), inside the interval's
     half-width. A partition that puts every row in one bucket warns; its
     statistic is 0. A trial count that is not an int >= 1, such as True or
-    2.5, raises ValueError before any draw."""
-    if type(trials) is not int or trials < 1:
-        raise ValueError(f"trials must be an int >= 1, not {trials!r}")
+    2.5, raises IndexStream's ValueError before any draw."""
     counts = np.zeros((2, partition.buckets), dtype=np.int64)
     for side, (label, draw) in enumerate((("a", draw_a), ("b", draw_b))):
         rows = draw(IndexStream(derive_seed(seed, label), trials))

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from bdga.actions import (
-    VALIDATION_TRIPLES,
+    ActionTables,
     ConjugationAction,
     DoubleCosetAction,
     ExponentAction,
@@ -364,30 +364,52 @@ def test_sandwich_actions_refuse_a_target_outside_the_families():
             build()
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_twisted_conjugacy_rejects_a_non_multiplicative_endomorphism(p):
-    # transpose-inverse on GL(2,p), with the image of one element altered to
-    # the identity: checked pair by pair on GL(2,3), whose 48^2 pairs are
-    # within VALIDATION_TRIPLES, and over both product tables on GL(2,5)
-    gl = GL2Group(p)
+def transpose_inverse_pair(gl):
+    """Transpose-inverse on GL(2, p), by the oracle, and the same map with
+    the image of the shear altered to the identity."""
     shear = bytes((1, 1, 0, 1))
-    assert (gl.order ** 2 > VALIDATION_TRIPLES) == (p == 5)
 
     def transpose_inverse(a):
-        return bytes(o_mat_inv((a[0], a[2], a[1], a[3]), p))
+        return bytes(o_mat_inv((a[0], a[2], a[1], a[3]), gl.p))
 
     def altered(a):
         return gl.identity_p if a == shear else transpose_inverse(a)
 
-    TwistedConjugacyAction(gl, gl, gl.wrap(shear), transpose_inverse, "ti")
+    return gl.wrap(shear), transpose_inverse, altered
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_twisted_conjugacy_rejects_a_non_multiplicative_endomorphism(p):
+    # transpose-inverse on GL(2,p), with the image of one element altered to
+    # the identity: the same exact check on GL(2,3) and on GL(2,5)
+    gl = GL2Group(p)
+    base, transpose_inverse, altered = transpose_inverse_pair(gl)
+    TwistedConjugacyAction(gl, gl, base, transpose_inverse, "ti")
     with pytest.raises(PlatformValidationError, match="endomorphism is not multiplicative"):
-        TwistedConjugacyAction(gl, gl, gl.wrap(shear), altered, "altered")
+        TwistedConjugacyAction(gl, gl, base, altered, "altered")
+
+
+def test_multiplicative_on_an_untabulable_subgroup_draws_nothing():
+    # GL(2,7) has 2016^2 pairs, above ENUMERATION_CAP: the endomorphism is
+    # still checked exactly, through a generating set, with no element drawn
+    gl = GL2Group(7)
+    base, transpose_inverse, altered = transpose_inverse_pair(gl)
+
+    def no_sampling(rng):
+        raise AssertionError("_multiplicative sampled an element")
+
+    gl.sample_p = no_sampling
+    pf = TwistedConjugacyAction(gl, gl, base, transpose_inverse, "ti")
+    assert not pf.tabulable
+    with pytest.raises(PlatformValidationError, match="endomorphism is not multiplicative"):
+        TwistedConjugacyAction(gl, gl, base, altered, "altered")
 
 
 def test_twisted_conjugacy_checks_every_pair_below_an_untabulable_target():
-    # S7 is too large to tabulate, so the endomorphism of the order-3
-    # subgroup is checked pair by pair: sending the 3-cycle c to the
-    # identity but c^2 to itself is not multiplicative
+    # S7 is too large to tabulate; the endomorphism of the order-3 subgroup
+    # is checked on every pair of an element and a generator, which covers
+    # every pair: sending the 3-cycle c to the identity but c^2 to itself
+    # is not multiplicative
     s7 = SymmetricGroup(7)
     c = bytes([2, 3, 1, 4, 5, 6, 7])
     sub = generated_perm_group(7, [list(c)])
@@ -430,21 +452,21 @@ class RightConjugation(ConjugationAction):
 
 
 class EscapingConjugation(ConjugationAction):
-    """Conjugation whose image of one point under one element is not a
-    permutation, so it leaves the target."""
+    """Conjugation whose left map of one acting element is not a
+    permutation, so that element's images leave the target."""
 
-    def apply_p(self, h, x):
-        if h == self.acting.elements_p()[-1] and x == self.base_p:
-            return bytes(len(x))
-        return super().apply_p(h, x)
+    def _sandwich_maps(self, h):
+        if h == self.acting.elements_p()[-1]:
+            return bytes(len(h)), h
+        return super()._sandwich_maps(h)
 
 
 class CollapsingConjugation(ConjugationAction):
-    """Every acting element sends every point to the base point: the
-    compatibility axiom holds, the identity axiom does not."""
+    """Every acting element acts as conjugation by the base point, the
+    identity too, so the identity axiom fails."""
 
-    def apply_p(self, h, x):
-        return self.base_p
+    def _sandwich_maps(self, h):
+        return self.base_p, self.base_p
 
 
 @pytest.mark.parametrize("degree", [3, 7], ids=["table", "sandwich"])
@@ -458,7 +480,7 @@ def test_validate_catches_an_identity_that_moves_points(degree):
 
 def test_validate_catches_a_right_action_exhaustively():
     pf = RightConjugation(SymmetricGroup(4))
-    assert pf.tabulable and pf.acting.order * pf.target.order <= VALIDATION_TRIPLES
+    assert pf.tabulable
     with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
         pf.validate()
     assert "tables" in vars(pf)  # the table branch ran
@@ -471,21 +493,11 @@ def test_validate_catches_an_action_leaving_the_target():
         pf.validate()
 
 
-def test_validate_checks_every_triple_of_an_untabulable_platform():
-    # S7 is too large to tabulate, but by the trivial subgroup it has only
-    # 5040 triples: every one is checked, so the single escaping image is found
-    s7 = SymmetricGroup(7)
-    pf = EscapingConjugation(s7, generated_perm_group(7, []), s7.wrap(bytes([2, 1, 3, 4, 5, 6, 7])))
-    assert not pf.tabulable and pf.acting.order * pf.target.order <= VALIDATION_TRIPLES
-    with pytest.raises(PlatformValidationError, match="leaves the target"):
-        pf.validate()
-
-
 def test_validate_catches_a_right_action_on_the_tables():
-    # tabulable, but above VALIDATION_TRIPLES: the table is read off the
-    # sandwich factors, and the generator checks on it still find the fault
+    # 120^2 entries, read off the sandwich maps: the generator checks on
+    # the table still find the fault
     pf = RightConjugation(SymmetricGroup(5))
-    assert pf.tabulable and pf.acting.order * pf.target.order > VALIDATION_TRIPLES
+    assert pf.tabulable
     with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
         pf.validate()
     assert "tables" in vars(pf)  # the table branch ran
@@ -493,27 +505,10 @@ def test_validate_catches_a_right_action_on_the_tables():
 
 def test_validate_catches_a_right_action_by_its_sandwich_maps():
     pf = RightConjugation(SymmetricGroup(7))
-    assert not pf.tabulable and pf.acting.order * pf.target.order > VALIDATION_TRIPLES
+    assert not pf.tabulable
     with pytest.raises(PlatformValidationError, match="compatibility axiom fails"):
         pf.validate()
     assert "tables" not in vars(pf)  # the sandwich check ran
-
-
-class MisreportedConjugation(ConjugationAction):
-    """apply_p computes h x h^-1, a right action, while the sandwich factors
-    it inherits still describe h^-1 x h: its table is a valid action, its
-    apply_p is not."""
-
-    def apply_p(self, h, x):
-        return super().apply_p(self.target.invert_p(h), x)
-
-
-def test_validate_compares_apply_p_with_a_table_read_off_the_factors():
-    s5 = SymmetricGroup(5)
-    pf = MisreportedConjugation(s5, s5, s5.wrap(bytes([2, 3, 4, 5, 1])))
-    assert pf.tables.from_factors
-    with pytest.raises(PlatformValidationError, match="apply_p disagrees with the action table"):
-        pf.validate()
 
 
 class RightFactorDoubleCoset(DoubleCosetAction):
@@ -526,11 +521,36 @@ class RightFactorDoubleCoset(DoubleCosetAction):
 
 
 class ZeroingConjugation(ConjugationAction):
-    """Conjugation whose images by every acting element but the identity
-    are not permutations, so they leave the target."""
+    """Conjugation whose right map of every acting element but the identity
+    is not a permutation, so its images leave the target."""
 
-    def apply_p(self, h, x):
-        return x if h == self.acting.identity_p else bytes(len(x))
+    def _sandwich_maps(self, h):
+        return h, (h if h == self.acting.identity_p else bytes(len(h)))
+
+
+class SwappedDoubleCoset(DoubleCosetAction):
+    """The double coset's maps with the pair's halves swapped, (j, h) for
+    (h^-1, j): r(h, j) = h is not reversed by the acting group's product,
+    so the compatibility axiom fails."""
+
+    def _sandwich_maps(self, hj):
+        return hj[self._cut:], hj[:self._cut]
+
+
+def test_swapping_the_maps_gives_another_action():
+    # a(h) and r(h) meet the same identity, so the swap (r(h), a(h)) is an
+    # action too, x -> r(h)^-1 x a(h), and validate() rightly accepts it;
+    # the swap of the pair's halves above is the one it must refuse
+    class Swapped(DoubleCosetAction):
+        def _sandwich_maps(self, hj):
+            a, r = super()._sandwich_maps(hj)
+            return r, a
+
+    s4 = SymmetricGroup(4)
+    pf = Swapped(s4, s4, s4, s4.wrap(bytes([2, 1, 3, 4])))
+    pf.validate()
+    h, j, x = bytes([2, 3, 1, 4]), bytes([1, 2, 4, 3]), bytes([4, 3, 2, 1])
+    assert pf.apply_p(h + j, x) == bytes(o_perm_mul(o_perm_mul(o_perm_inv(j), x), o_perm_inv(h)))
 
 
 S10 = SymmetricGroup(10)
@@ -540,11 +560,10 @@ S10_BASE = S10.wrap(bytes([*range(2, 11), 1]))
 @pytest.mark.parametrize("build, message", [
     (lambda: CollapsingConjugation(S10, S10, S10_BASE), "identity axiom fails"),
     (lambda: RightConjugation(S10, S10_BASE), "compatibility axiom fails"),
-    (lambda: MisreportedConjugation(S10, S10, S10_BASE),
-     "apply_p disagrees with its sandwich maps"),
+    (lambda: SwappedDoubleCoset(S10, S10, S10, S10_BASE), "compatibility axiom fails"),
     (lambda: RightFactorDoubleCoset(S10, S10_BASE), "compatibility axiom fails"),
     (lambda: ZeroingConjugation(S10, S10, S10_BASE), "an image leaves the target group"),
-], ids=["collapsing", "right_acting", "misreported", "dcoset_right_factor", "escaping"])
+], ids=["collapsing", "right_acting", "swapped", "dcoset_right_factor", "escaping"])
 def test_exact_sandwich_validation_catches_mutants(build, message):
     pf = build()
     assert not pf.tabulable
@@ -554,9 +573,8 @@ def test_exact_sandwich_validation_catches_mutants(build, message):
 
 @pytest.mark.parametrize("name", ["s10_conj", "gl27_conj"])
 def test_exact_sandwich_validation_makes_a_few_dozen_calls(name):
-    """Three draws from each group and the identities: at most 20 apply_p
-    calls, and 6 draws, each of H counted twice through its opposite
-    group's base."""
+    """The maps at the identity and three draws of H: no apply_p call, and
+    3 draws, each counted twice through the opposite group's base."""
     pf = platform_named(name)
     applies, draws = [], []
     apply = pf.apply_p
@@ -564,7 +582,7 @@ def test_exact_sandwich_validation_makes_a_few_dozen_calls(name):
     for group in (pf.acting, pf.target):
         group.sample_p = lambda rng, draw=group.sample_p: draws.append(1) or draw(rng)
     pf.validate()
-    assert 0 < len(applies) <= 20 and 0 < len(draws) <= 9
+    assert not applies and 0 < len(draws) <= 6
     assert "tables" not in vars(pf)
 
 
@@ -573,13 +591,18 @@ def test_exact_validation_passes_on_every_preset(name):
     preset(name)._validate_exact(Random(0xA11))
 
 
-@pytest.mark.parametrize("mutant", [CollapsingConjugation, RightConjugation,
-                                    MisreportedConjugation],
-                         ids=["collapsing", "right_acting", "misreported"])
-def test_exact_validation_raises_where_the_table_check_raises(mutant):
-    s5 = SymmetricGroup(5)
-    base = s5.wrap(bytes([2, 3, 4, 5, 1]))
-    pf = mutant(s5, base) if mutant is RightConjugation else mutant(s5, s5, base)
+S5 = SymmetricGroup(5)
+S5_BASE = S5.wrap(bytes([2, 3, 4, 5, 1]))
+C5 = generated_perm_group(5, [[2, 3, 4, 5, 1]])  # keeps S5 x C5^op tabulable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CollapsingConjugation(S5, S5, S5_BASE),
+    lambda: RightConjugation(S5, S5_BASE),
+    lambda: SwappedDoubleCoset(S5, S5, C5, S5_BASE),
+], ids=["collapsing", "right_acting", "swapped"])
+def test_exact_validation_raises_where_the_table_check_raises(build):
+    pf = build()
     assert pf.tabulable
     with pytest.raises(PlatformValidationError):
         pf.validate()
@@ -663,11 +686,11 @@ def test_exact_exponent_validation_draws_nothing():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_validate_never_samples_a_tabulable_platform(name):
-    """Every preset is validated over its tables, drawing no group element;
-    where the table is read off the sandwich factors, apply_p is compared
-    with it on VALIDATION_TRIPLES distinct entries."""
+    """Every preset is validated over its tables, drawing no group element.
+    A sandwich platform reads its table off its maps, so neither a fresh
+    table nor validate() calls apply_p; bd23's table applies every acting
+    element to every target element once, and validate() calls it no more."""
     pf = platform_from_descriptor(preset(name).descriptor)
-    t = pf.tables
 
     def no_sampling(rng):
         raise AssertionError("validate() sampled an element")
@@ -676,10 +699,10 @@ def test_validate_never_samples_a_tabulable_platform(name):
     calls = []
     apply = pf.apply_p
     pf.apply_p = lambda h, x: calls.append((h, x)) or apply(h, x)
+    ActionTables(pf)
     pf.validate()
-    want = VALIDATION_TRIPLES if t.from_factors else 0
+    want = 0 if pf._sandwich_maps else pf.acting.order * pf.target.order
     assert len(calls) == len(set(calls)) == want
-    assert t.from_factors == (pf.acting.order * pf.target.order > VALIDATION_TRIPLES)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

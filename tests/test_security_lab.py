@@ -401,6 +401,14 @@ def test_tv_distance_refuses_a_trial_count_that_is_not_a_positive_int(trials):
         tv_distance(streams.append, streams.append, trials, hash_partition(4), seed=23)
     assert streams == []  # no side was drawn
 
+
+@pytest.mark.parametrize("trials", [True, 2.5, "3", -1, 0])
+def test_index_stream_refuses_a_trial_count_that_is_not_a_positive_int(trials):
+    # refused when the stream is made, before a sampler draws from it
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        sample_real(S4, 8, IndexStream(1, trials))
+
+
 def test_tv_real_vs_fake_positive_and_seed_stable():
     def real(stream):
         return sample_real(BD, 8, stream)
